@@ -48,10 +48,10 @@ from .market import (
     CorrelationMatrix,
     DemandParams,
     MarketError,
+    book_return_factors,
     cholesky_factor,
-    net_demand,
+    demand_flow,
     portfolio_variance,
-    step_asset_prices,
 )
 from .metrics import (
     PonziReport,
@@ -69,13 +69,11 @@ from .metrics import (
 from .protocol import (
     MintPolicy,
     ProtocolError,
-    VaultBook,
-    VaultKind,
-    VaultPosition,
     collateral_ratio,
     liquidate,
     mint,
     redeem,
+    skim,
 )
 from .sim_engine import (
     ConfigError,

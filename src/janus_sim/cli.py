@@ -127,9 +127,9 @@ def cmd_run(args) -> int:
     }
     _atomic_write(os.path.join(args.out, "summary.json"), _json_text(payload))
     _write_manifest(args.out, config, 1, ["trace.csv", "summary.json"], t0)
-    if len(trace) < config.horizon:
+    if trace.diverged:
         print(
-            f"simulation diverged after {len(trace)} of {config.horizon} steps",
+            f"simulation diverged at step {trace.columns['t'][-1]} of {config.horizon}",
             file=sys.stderr,
         )
         return EXIT_DIVERGED

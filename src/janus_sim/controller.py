@@ -3,7 +3,8 @@
 The stabilizer is a proportional, deadbanded, saturated feedback law on the
 relative price deviation.  Outside the tolerance band it leans against the
 deviation by adjusting the reward emission (supply pressure), transaction
-fee, and variable vault rate; inside the band it does nothing.
+fee, and variable rate; inside the band it does nothing.  The variable rate
+is recorded in traces and the state vector but drives no other quantity.
 
 The same module hosts the damped fixed-point solver, finite-difference
 Jacobian, and spectral radius used to classify local stability of the
@@ -26,7 +27,7 @@ class ControlError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Raised on non-finite iterates or non-converging eigenvalue estimates."""
+    """Raised on non-finite iterates or Jacobian entries."""
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ def control_action(
     """One controller evaluation against the reference price.
 
     Above the band: raise reward emission (supply expansion, sell pressure)
-    and lower fee/vault rate.  Below the band: the mirror image.  Inside the
+    and lower fee/variable rate.  Below the band: the mirror image.  Inside the
     band: exactly zero.  Deltas are pre-saturated against the bounds.
     """
     if price <= 0 or p_ref <= 0:
@@ -221,16 +222,8 @@ def jacobian_fd(F, x_star: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return J
 
 
-def spectral_radius(J: np.ndarray, squarings: int = 60) -> float:
-    """Largest eigenvalue magnitude via Gelfand's formula.
-
-    Repeated squaring with norm renormalization evaluates
-    ``||J^m||^(1/m)`` at ``m = 2**squarings``; the polynomial slack in
-    ``rho^m <= ||J^m|| <= C m^(d-1) rho^m`` vanishes as ``log(m)/m``, so at
-    m ~ 1e18 the estimate is exact to machine precision.  Unlike plain power
-    iteration this handles complex-conjugate dominant pairs and clustered
-    eigenvalue magnitudes without convergence tuning.
-    """
+def spectral_radius(J: np.ndarray) -> float:
+    """Largest eigenvalue magnitude, max |eig(J)|."""
     J = np.asarray(J, dtype=float)
     if J.ndim != 2 or J.shape[0] != J.shape[1]:
         raise ControlError("matrix must be square")
@@ -238,20 +231,7 @@ def spectral_radius(J: np.ndarray, squarings: int = 60) -> float:
         raise ControlError("matrix must be finite")
     if J.shape[0] == 0:
         return 0.0
-    norm = float(np.linalg.norm(J, 2))
-    if norm == 0.0:
-        return 0.0
-    A = J / norm
-    log_norm = math.log(norm)  # log ||J^(2^i)|| = 2^i * log_norm + log ||A||
-    for i in range(squarings):
-        A = A @ A
-        n = float(np.linalg.norm(A, 2))
-        if n == 0.0 or not math.isfinite(n):
-            # numerically nilpotent: the spectral radius underflowed
-            return 0.0
-        A /= n
-        log_norm += math.log(n) / float(2 ** (i + 1))
-    return math.exp(log_norm)
+    return float(np.max(np.abs(np.linalg.eigvals(J))))
 
 
 def classify_stability(rho: float, margin: float = 0.05) -> Stability:

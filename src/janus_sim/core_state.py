@@ -12,17 +12,17 @@ holdings):
     5            RWA collateral value
     6            fee rate
     7            reward rate
-    8            variable vault rate
+    8            variable rate
     9 .. 9+k-1   collateral holding units, in holding order
-    9+k          vault book total principal
-    9+k+1        vault book total accrued
+    9+k, 9+k+1   retired: always 0
 
 ``c_total`` is derived (crypto + RWA value) and is not a vector coordinate.
+The retired slots keep the length of the equilibrium output's ``x_star``:
+``to_vector`` writes 0 there and ``from_vector`` ignores them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -53,6 +53,11 @@ class GovernanceDistribution:
                 raise StateError(f"governance weight {x} outside [0, 1]")
         if abs(sum(w) - 1.0) > GOV_WEIGHT_TOL:
             raise StateError(f"governance weights sum to {sum(w)}, expected 1")
+
+
+def decentralization(gov: GovernanceDistribution) -> float:
+    """1 - sum of squared governance weights (0 for a single holder)."""
+    return 1.0 - sum(w * w for w in gov.weights)
 
 
 @dataclass(frozen=True)
@@ -128,13 +133,11 @@ class ProtocolState:
     fee_rate: float
     reward_rate: float
     var_rate: float
-    vault_book: "VaultBook"  # noqa: F821 - defined in protocol module
     governance: GovernanceDistribution
-    pending_payout: float = 0.0
     clamped: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        for name in ("crypto_value", "rwa_value", "c_total", "pending_payout"):
+        for name in ("crypto_value", "rwa_value", "c_total"):
             if getattr(self, name) < 0:
                 raise StateError(f"{name} must be non-negative")
         expected = self.crypto_value + self.rwa_value
@@ -193,32 +196,30 @@ def to_vector(state: ProtocolState) -> np.ndarray:
         state.var_rate,
     ]
     units = [h.units for h in state.collateral]
-    book = state.vault_book
-    return np.array(head + units + [book.total_locked, book.total_accrued])
+    return np.array(head + units + [0.0, 0.0])
 
 
 def from_vector(v: np.ndarray, template: ProtocolState) -> ProtocolState:
     """Rebuild a state from a vector, taking non-numeric fields from template.
 
-    Negative entries are clamped to zero and flagged; the vault aggregates
-    rescale the template's positions pro rata (an empty book stays empty).
+    Negative entries are clamped to zero and flagged; the two retired slots
+    are ignored.
     """
     v = np.asarray(v, dtype=float)
     dim = vector_dim(template)
     if v.shape != (dim,):
         raise StateError(f"state vector has length {v.shape}, expected ({dim},)")
+    v = v[:-2]
     # Rates (indices 6..8) may legitimately go negative (buyback-side reward);
     # only monetary quantities are clamped.
-    monetary = np.ones(dim, dtype=bool)
+    monetary = np.ones(dim - 2, dtype=bool)
     monetary[6:9] = False
     clamped = bool(np.any(v[monetary] < 0.0))
     v = np.where(monetary, np.maximum(v, 0.0), v)
-    k = len(template.collateral)
     holdings = tuple(
         replace(h, units=float(v[HEADER_DIM + i]))
         for i, h in enumerate(template.collateral)
     )
-    book = template.vault_book.rescaled(float(v[HEADER_DIM + k]), float(v[HEADER_DIM + k + 1]))
     crypto, rwa = float(v[4]), float(v[5])
     return replace(
         template,
@@ -231,14 +232,5 @@ def from_vector(v: np.ndarray, template: ProtocolState) -> ProtocolState:
         fee_rate=float(v[6]),
         reward_rate=float(v[7]),
         var_rate=float(v[8]),
-        vault_book=book,
         clamped=clamped,
     )
-
-
-def herfindahl(weights) -> float:
-    return float(sum(w * w for w in weights))
-
-
-def is_finite_state(state: ProtocolState) -> bool:
-    return bool(np.all(np.isfinite(to_vector(state))))

@@ -111,50 +111,63 @@ def cholesky_factor(corr: CorrelationMatrix) -> np.ndarray:
     return L
 
 
-def step_asset_prices(
-    prices: np.ndarray,
-    specs: list[AssetSpec],
-    L: np.ndarray,
-    z: np.ndarray,
-) -> np.ndarray:
-    """One geometric step: p_i * exp(mu_i - sigma_i^2/2 + sigma_i * (L z)_i)."""
-    prices = np.asarray(prices, dtype=float)
-    if len(prices) != len(specs) or len(z) != len(specs):
-        raise MarketError("prices, specs and draws must have equal length")
-    if np.any(prices <= 0):
-        raise MarketError("asset prices must be positive")
-    mu = np.array([s.drift for s in specs])
-    sigma = np.array([s.vol for s in specs])
-    shocks = L @ np.asarray(z, dtype=float)
-    return prices * np.exp(mu - 0.5 * sigma**2 + sigma * shocks)
+def book_return_factors(
+    z: list[float],
+    L: tuple[tuple[float, ...], ...],
+    drift: tuple[float, ...],
+    vol: tuple[float, ...],
+    weights: tuple[float, ...],
+    is_crypto: tuple[bool, ...],
+) -> tuple[float, float]:
+    """One geometric step of every asset, averaged over each collateral book.
+
+    Asset i moves by exp(mu_i - sigma_i^2/2 + sigma_i * (L z)_i); the crypto
+    and RWA books move by the weight-averaged factor of their assets (1 for
+    an empty book).
+    """
+    fcs = fcw = frs = frw = 0.0
+    for i in range(len(z)):
+        corr_z = 0.0
+        row = L[i]
+        for j in range(i + 1):
+            corr_z += row[j] * z[j]
+        f = math.exp(drift[i] - 0.5 * vol[i] * vol[i] + vol[i] * corr_z)
+        w = weights[i]
+        if is_crypto[i]:
+            fcs += w * f
+            fcw += w
+        else:
+            frs += w * f
+            frw += w
+    return fcs / fcw if fcw > 0 else 1.0, frs / frw if frw > 0 else 1.0
 
 
-def asset_return_factors(specs: list[AssetSpec], L: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Per-asset multiplicative return factors for one step."""
-    mu = np.array([s.drift for s in specs])
-    sigma = np.array([s.vol for s in specs])
-    shocks = L @ np.asarray(z, dtype=float)
-    return np.exp(mu - 0.5 * sigma**2 + sigma * shocks)
-
-
-def net_demand(
+def demand_flow(
+    params: DemandParams,
+    base: float,
+    weight: float,
     price: float,
     p_ref: float,
     trend: float,
-    params: DemandParams,
     noise: float,
-) -> float:
-    """Signed quote-currency demand flow for one step."""
-    if price <= 0 or p_ref <= 0:
-        raise MarketError("prices must be positive")
+) -> tuple[float, float]:
+    """One token's signed quote-currency demand for one step.
+
+    Returns (full flow, market-facing part): the token's ``weight`` share of
+    the structural ``base`` inflow is the part that bypasses the market.  A
+    token with no positive price draws no flow.
+    """
+    if price <= 0:
+        return 0.0, 0.0
     dev = (price - p_ref) / p_ref
-    base = params.base_inflow
-    return (
-        base
-        + params.sentiment_gain * trend * base
-        + params.deviation_gain * dev * base
-        + params.noise_vol * noise
+    scaled_base = base * weight
+    total = (
+        scaled_base
+        + params.sentiment_gain * trend * scaled_base
+        + params.deviation_gain * dev * scaled_base
+        + params.noise_vol * weight * noise
     )
+    return total, total - scaled_base
 
 
 def portfolio_variance(weights, variances, corr: CorrelationMatrix) -> float:

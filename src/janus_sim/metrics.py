@@ -1,8 +1,9 @@
 """Trilemma metrics, ponzinomics checks, and trilemma-point assembly.
 
-Decentralization is one minus the Herfindahl concentration of governance
-weights; capital efficiency is supply value over collateral value; safety is
-one minus the Monte Carlo failure probability with a Wilson interval.
+Decentralization is one minus the sum of squared governance weights
+(defined in ``core_state``, which the engine's frontier sweep also uses);
+capital efficiency is supply value over collateral value; safety is one
+minus the Monte Carlo failure probability with a Wilson interval.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .core_state import GovernanceDistribution
+from .core_state import GovernanceDistribution, decentralization
 from .sim_engine import EnsembleSummary, FailureDef, ScenarioConfig, SimTrace, monte_carlo
 
 
@@ -52,11 +53,6 @@ class PonziReport:
     anchor_margin: float
     inflow_dependence: float
     verdict: RiskClass
-
-
-def decentralization(gov: GovernanceDistribution) -> float:
-    """1 - sum of squared governance weights (0 for a single holder)."""
-    return 1.0 - sum(w * w for w in gov.weights)
 
 
 def capital_efficiency(s_sc: float, p_ref: float, c_total: float) -> float:

@@ -1,93 +1,23 @@
-"""Deterministic protocol mechanics: mint/redeem, vault accounting, RWA yield
-accrual, and liquidation.
+"""Deterministic protocol mechanics: mint/redeem, liquidation, and the
+treasury skim.
 
 The simulator models one aggregated user; these transitions operate on
-aggregate flows.  All functions return successor states and never mutate
-inputs.
+aggregate flows.  Each mechanic is a pure function of floats: it takes the
+token prices and supplies and the crypto/RWA collateral book values it
+touches, and returns their successor values.  The engine's step calls them
+in its frozen sub-step order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 
-from .core_state import ProtocolState, StateError, TokenState
-from .market import AssetKind, AssetSpec
-
-VAULT_LOCKED_REL_TOL = 1e-6
+from .core_state import ProtocolState
 
 
 class ProtocolError(ValueError):
     """Raised when a protocol transition precondition is violated."""
-
-
-class VaultKind(str, Enum):
-    GENESIS = "genesis"
-    BORROW_LEND = "borrow_lend"
-    FIXED_RATE = "fixed_rate"
-    VARIABLE_RATE = "variable_rate"
-    FIXED_HORIZON = "fixed_horizon"
-    INFINITE = "infinite"
-
-
-#: kinds whose accrual uses the protocol-wide variable rate each step
-VARIABLE_KINDS = frozenset({VaultKind.VARIABLE_RATE, VaultKind.BORROW_LEND})
-
-
-@dataclass(frozen=True)
-class VaultPosition:
-    kind: VaultKind
-    principal: float
-    rate: float = 0.0
-    maturity: int | None = None
-    accrued: float = 0.0
-
-    def __post_init__(self):
-        if self.principal < 0 or self.accrued < 0:
-            raise ProtocolError("vault principal/accrued must be non-negative")
-        has_maturity = self.maturity is not None
-        if has_maturity != (self.kind is VaultKind.FIXED_HORIZON):
-            raise ProtocolError("maturity is required for fixed-horizon vaults only")
-
-
-@dataclass(frozen=True)
-class VaultBook:
-    positions: tuple[VaultPosition, ...] = ()
-
-    @property
-    def total_locked(self) -> float:
-        return sum(p.principal for p in self.positions)
-
-    @property
-    def total_accrued(self) -> float:
-        return sum(p.accrued for p in self.positions)
-
-    def rescaled(self, new_locked: float, new_accrued: float) -> "VaultBook":
-        """Scale positions pro rata to match aggregate targets.
-
-        Used by the state/vector mapping; an empty book ignores the targets
-        (there is no position to attribute them to).
-        """
-        if not self.positions:
-            return self
-        locked, accrued = self.total_locked, self.total_accrued
-        fl = new_locked / locked if locked > 0 else 0.0
-        fa = new_accrued / accrued if accrued > 0 else 0.0
-        return VaultBook(
-            tuple(
-                replace(p, principal=p.principal * fl, accrued=p.accrued * fa)
-                for p in self.positions
-            )
-        )
-
-
-@dataclass(frozen=True)
-class VaultRedemption:
-    """Matured fixed-horizon position awaiting payout from collateral."""
-
-    amount: float
-    maturity: int
 
 
 @dataclass(frozen=True)
@@ -107,171 +37,71 @@ class MintPolicy:
             raise ProtocolError("alpha/omega split must lie in [0, 1]")
 
 
-def _crypto_share(state: ProtocolState, specs: list[AssetSpec]) -> float:
-    """Fraction of configured collateral weight assigned to crypto assets."""
-    if not state.collateral:
-        return 1.0
-    by_id = {s.id: s for s in specs}
-    share = sum(
-        h.weight for h in state.collateral if by_id[h.asset_id].kind is AssetKind.CRYPTO
-    )
-    return share
-
-
-def _adjust_collateral(
-    state: ProtocolState, delta: float, specs: list[AssetSpec]
-) -> tuple[float, float]:
-    """Split a collateral value change between crypto and RWA books.
-
-    Inflows follow the configured weights; outflows are pro rata on current
-    values so neither book goes negative.
-    """
-    if delta >= 0:
-        share = _crypto_share(state, specs)
-        return state.crypto_value + delta * share, state.rwa_value + delta * (1 - share)
-    total = state.c_total
-    if total <= 0:
-        return state.crypto_value, state.rwa_value
-    take = min(-delta, total)
-    fc = state.crypto_value / total
-    return state.crypto_value - take * fc, state.rwa_value - take * (1 - fc)
-
-
 def mint(
-    state: ProtocolState,
     policy: MintPolicy,
-    collateral_value: float,
-    specs: list[AssetSpec] | None = None,
-) -> tuple[ProtocolState, float, float]:
-    """Deposit collateral, mint Alpha/Omega at current prices.
+    value: float,
+    p_a: float,
+    p_o: float,
+    s_a: float,
+    s_o: float,
+    cv: float,
+    rv: float,
+    crypto_share: float,
+) -> tuple[float, float, float, float]:
+    """Deposit ``value`` of collateral and mint Alpha/Omega at current prices.
 
-    Minted notional = collateral / min_ratio * (1 - mint_fee), split between
-    the tokens by policy.
+    Minted notional = value / min_ratio * (1 - mint_fee), split between the
+    tokens by policy (a token without a positive price mints nothing).  The
+    deposit enters the crypto book at ``crypto_share`` and the RWA book at
+    the rest.  Returns (s_a, s_o, cv, rv).
     """
-    if collateral_value <= 0:
+    if value <= 0:
         raise ProtocolError("collateral value must be positive to mint")
-    specs = specs or []
-    notional = collateral_value / policy.min_collateral_ratio * (1.0 - policy.mint_fee)
-    alpha_value = notional * policy.alpha_omega_split
-    omega_value = notional - alpha_value
-    alpha_minted = alpha_value / state.alpha.price if state.alpha.price > 0 else 0.0
-    omega_minted = omega_value / state.omega.price if state.omega.price > 0 else 0.0
-    crypto, rwa = _adjust_collateral(state, collateral_value, specs)
-    new = replace(
-        state,
-        alpha=replace(state.alpha, supply=state.alpha.supply + alpha_minted),
-        omega=replace(state.omega, supply=state.omega.supply + omega_minted),
-        crypto_value=crypto,
-        rwa_value=rwa,
-        c_total=crypto + rwa,
-    )
-    return new, alpha_minted, omega_minted
+    w_a = policy.alpha_omega_split
+    notional = value / policy.min_collateral_ratio * (1.0 - policy.mint_fee)
+    if p_a > 0:
+        s_a += notional * w_a / p_a
+    if p_o > 0:
+        s_o += notional * (1.0 - w_a) / p_o
+    return s_a, s_o, cv + value * crypto_share, rv + value * (1.0 - crypto_share)
 
 
 def redeem(
-    state: ProtocolState,
     policy: MintPolicy,
-    alpha: float,
-    omega: float,
-    specs: list[AssetSpec] | None = None,
-) -> tuple[ProtocolState, float]:
-    """Burn tokens, release collateral at current prices less the redeem fee.
+    a_red: float,
+    o_red: float,
+    p_a: float,
+    p_o: float,
+    s_a: float,
+    s_o: float,
+    cv: float,
+    rv: float,
+) -> tuple[float, float, float, float]:
+    """Burn tokens and release collateral at current prices less the redeem
+    fee.  Returns (s_a, s_o, cv, rv).
 
-    The payout is capped at available collateral; c_total never goes
-    negative.
+    The payout is capped at the collateral held; when it cannot cover the
+    request, only the covered fraction of tokens is burned (nobody redeems
+    for nothing).  Both books pay pro rata, so neither goes negative.
     """
-    if alpha < 0 or omega < 0:
+    if a_red < 0 or o_red < 0:
         raise ProtocolError("redemption amounts must be non-negative")
-    if alpha > state.alpha.supply * (1 + 1e-12):
-        raise ProtocolError(
-            f"alpha redemption {alpha} exceeds supply {state.alpha.supply}"
-        )
-    if omega > state.omega.supply * (1 + 1e-12):
-        raise ProtocolError(
-            f"omega redemption {omega} exceeds supply {state.omega.supply}"
-        )
-    if alpha == 0 and omega == 0:
-        return state, 0.0
-    specs = specs or []
-    value = alpha * state.alpha.price + omega * state.omega.price
+    if a_red > s_a * (1 + 1e-12) or o_red > s_o * (1 + 1e-12):
+        raise ProtocolError(f"redemption ({a_red}, {o_red}) exceeds supply ({s_a}, {s_o})")
+    value = a_red * p_a + o_red * p_o
+    if value <= 0:
+        return s_a, s_o, cv, rv
     gross = value * (1.0 - policy.redeem_fee)
-    payout = min(gross, state.c_total)
-    # When collateral cannot cover the request, only the covered fraction of
-    # tokens is burned (nobody redeems for nothing).
+    total = cv + rv
+    payout = min(gross, total)
     fill = payout / gross if gross > 0 else 0.0
-    alpha *= fill
-    omega *= fill
-    crypto, rwa = _adjust_collateral(state, -payout, specs)
-    new = replace(
-        state,
-        alpha=replace(state.alpha, supply=max(state.alpha.supply - alpha, 0.0)),
-        omega=replace(state.omega, supply=max(state.omega.supply - omega, 0.0)),
-        crypto_value=crypto,
-        rwa_value=rwa,
-        c_total=crypto + rwa,
-    )
-    return new, payout
-
-
-def rwa_yield_rate(state: ProtocolState, specs: list[AssetSpec]) -> float:
-    """Weight-averaged per-step yield over the RWA holdings."""
-    by_id = {s.id: s for s in specs}
-    rwa_weight = 0.0
-    acc = 0.0
-    for h in state.collateral:
-        spec = by_id[h.asset_id]
-        if spec.kind is AssetKind.RWA:
-            rwa_weight += h.weight
-            acc += h.weight * spec.yield_rate
-    return acc / rwa_weight if rwa_weight > 0 else 0.0
-
-
-def accrue_rwa_yield(
-    state: ProtocolState,
-    specs: list[AssetSpec],
-    treasury_split: float,
-) -> tuple[ProtocolState, float]:
-    """Accrue one step of external RWA yield.
-
-    ``treasury_split`` of the yield compounds into the RWA collateral book;
-    the remainder is returned for distribution to Omega holders (the caller
-    records it and applies the market support flow).
-    """
-    if not (0.0 <= treasury_split <= 1.0):
-        raise ProtocolError("treasury split must lie in [0, 1]")
-    rate = rwa_yield_rate(state, specs)
-    gross = state.rwa_value * rate
-    if gross == 0.0:
-        return state, 0.0
-    retained = gross * treasury_split
-    new = replace(
-        state,
-        rwa_value=state.rwa_value + retained,
-        c_total=state.c_total + retained,
-    )
-    return new, gross - retained
-
-
-def accrue_vault_interest(
-    book: VaultBook, variable_rate: float, t: int
-) -> tuple[VaultBook, list[VaultRedemption]]:
-    """Accrue one step of interest; pop matured fixed-horizon positions.
-
-    Fixed-rate and fixed-horizon positions use their stored rate; variable
-    and borrow/lend positions use the current protocol variable rate.
-    """
-    if variable_rate < 0:
-        raise ProtocolError("variable rate must be non-negative")
-    kept: list[VaultPosition] = []
-    redemptions: list[VaultRedemption] = []
-    for p in book.positions:
-        rate = variable_rate if p.kind in VARIABLE_KINDS else p.rate
-        accrued = p.accrued + p.principal * rate
-        if p.kind is VaultKind.FIXED_HORIZON and t >= p.maturity:
-            redemptions.append(VaultRedemption(amount=p.principal + accrued, maturity=p.maturity))
-            continue
-        kept.append(replace(p, accrued=accrued))
-    return VaultBook(tuple(kept)), redemptions
+    s_a = max(s_a - a_red * fill, 0.0)
+    s_o = max(s_o - o_red * fill, 0.0)
+    if total > 0:
+        take = min(payout, total)
+        cv -= take * (cv / total)
+        rv -= take * (rv / total)
+    return s_a, s_o, cv, rv
 
 
 def collateral_ratio(state: ProtocolState, p_ref: float) -> float:
@@ -285,49 +115,60 @@ def collateral_ratio(state: ProtocolState, p_ref: float) -> float:
 
 
 def liquidate(
-    state: ProtocolState,
-    policy: MintPolicy,
-    penalty: float,
+    s_a: float,
+    s_o: float,
+    cv: float,
+    rv: float,
     p_ref: float,
+    min_ratio: float,
+    penalty: float,
     omega_senior: bool = False,
-) -> tuple[ProtocolState, float]:
+) -> tuple[float, float, float, float]:
     """Restore the minimum collateral ratio by burning supply.
 
     Burned holders recover collateral at a haircut below the prevailing
     backing ratio (less the penalty, which is destroyed), so each unit of
-    burned supply raises the ratio.  A no-op when already above the minimum;
-    idempotent.
+    burned supply raises the ratio.  With ``omega_senior`` Alpha is burned
+    first and Omega only once Alpha is exhausted; otherwise both pro rata.
+    A no-op without supply or when already at the minimum; idempotent.
+    Returns (s_a, s_o, cv, rv).
     """
-    if not (0.0 <= penalty < 1.0):
-        raise ProtocolError("penalty must lie in [0, 1)")
-    ratio = collateral_ratio(state, p_ref)
-    target = policy.min_collateral_ratio
-    if ratio >= target:
-        return state, 0.0
-    supply_value = state.total_supply * p_ref
+    supply_value = (s_a + s_o) * p_ref
+    ratio = (cv + rv) / supply_value if supply_value > 0 else math.inf
+    if not ratio < min_ratio:  # also a no-op on a NaN ratio
+        return s_a, s_o, cv, rv
     recovery = (1.0 - penalty) * min(ratio, 1.0)
-    # Solve (C - recovery * x) / (V - x) = target for burned value x.
-    x = (target * supply_value - state.c_total) / (target - recovery)
+    # Solve (C - recovery * x) / (V - x) = min_ratio for burned value x.
+    x = (min_ratio * supply_value - (cv + rv)) / (min_ratio - recovery)
     burned_value = min(x, supply_value)
     released = recovery * burned_value
-
-    frac = burned_value / supply_value
-    a_sup, o_sup = state.alpha.supply, state.omega.supply
     if omega_senior:
-        # Burn alpha first; spill into omega only if alpha is exhausted.
         burn_tokens = burned_value / p_ref
-        a_burn = min(burn_tokens, a_sup)
-        o_burn = min(burn_tokens - a_burn, o_sup)
+        a_burn = min(burn_tokens, s_a)
+        o_burn = min(burn_tokens - a_burn, s_o)
     else:
-        a_burn = frac * a_sup
-        o_burn = frac * o_sup
-    crypto, rwa = _adjust_collateral(state, -released, [])
-    new = replace(
-        state,
-        alpha=replace(state.alpha, supply=a_sup - a_burn),
-        omega=replace(state.omega, supply=o_sup - o_burn),
-        crypto_value=crypto,
-        rwa_value=rwa,
-        c_total=crypto + rwa,
-    )
-    return new, burned_value
+        frac = burned_value / supply_value
+        a_burn = frac * s_a
+        o_burn = frac * s_o
+    s_a = max(s_a - a_burn, 0.0)
+    s_o = max(s_o - o_burn, 0.0)
+    total = cv + rv
+    take = min(released, total)
+    if total > 0:
+        cv -= take * (cv / total)
+        rv -= take * (rv / total)
+    return s_a, s_o, cv, rv
+
+
+def skim(
+    cv: float, rv: float, supply: float, p_ref: float, min_ratio: float, rate: float
+) -> tuple[float, float]:
+    """Pay out ``rate`` of the collateral held above min_ratio * supply value,
+    from both books pro rata.  Returns (cv, rv)."""
+    target = min_ratio * supply * p_ref
+    total = cv + rv
+    if total > target:
+        f = 1.0 - rate * (total - target) / total
+        cv *= f
+        rv *= f
+    return cv, rv

@@ -5,7 +5,7 @@ One step executes a frozen sub-step order:
 
     1. draw the step's shock row from the path stream
     2. move collateral asset values (stress overlay applied)
-    3. settle matured vault payouts, accrue RWA yield and vault interest
+    3. accrue external RWA yield
     4. evaluate demand and execute protocol mint/redeem plus holder turnover
     5. update token prices via the exponential price-impact rule
     6. liquidate if undercollateralized, then skim treasury surplus
@@ -42,6 +42,7 @@ from .core_state import (
     StateError,
     TokenState,
     band_bounds,
+    decentralization,
     reference_price,
 )
 from .market import (
@@ -49,14 +50,11 @@ from .market import (
     AssetSpec,
     CorrelationMatrix,
     DemandParams,
+    book_return_factors,
     cholesky_factor,
+    demand_flow,
 )
-from .protocol import (
-    MintPolicy,
-    VaultBook,
-    accrue_vault_interest,
-    collateral_ratio,
-)
+from .protocol import MintPolicy, collateral_ratio, liquidate, mint, redeem, skim
 from .rng import shock_block
 
 BURN_IN_STEPS = 30
@@ -202,9 +200,14 @@ TRACE_COLUMNS = (
 
 @dataclass
 class SimTrace:
-    """Column-oriented per-step records for one path."""
+    """Column-oriented per-step records for one path.
+
+    ``diverged`` is set when the path stopped early on a numerical blow-up;
+    its last record is then flagged failed.
+    """
 
     columns: dict[str, list] = field(default_factory=lambda: {c: [] for c in TRACE_COLUMNS})
+    diverged: bool = False
 
     def append(self, **row):
         for c in TRACE_COLUMNS:
@@ -233,34 +236,6 @@ def price_impact(price: float, net_flow: float, depth: float) -> float:
     return price * math.exp(net_flow / depth)
 
 
-def apply_stress(
-    specs: tuple[AssetSpec, ...],
-    demand: DemandParams,
-    overlay: StressOverlay | None,
-    t: int,
-) -> tuple[tuple[AssetSpec, ...], DemandParams, float]:
-    """Stress-adjusted parameters for step t plus a one-time crash drop factor."""
-    if overlay is None or not overlay.active(t):
-        return specs, demand, 1.0
-    if overlay.kind is StressKind.CRYPTO_CRASH:
-        drop = 1.0 - overlay.magnitude if t == overlay.onset else 1.0
-        specs = tuple(
-            replace(s, vol=s.vol * 2.0) if s.kind is AssetKind.CRYPTO else s for s in specs
-        )
-        return specs, demand, drop
-    if overlay.kind is StressKind.RWA_SHORTFALL:
-        specs = tuple(
-            replace(s, yield_rate=s.yield_rate * (1.0 - overlay.magnitude))
-            if s.kind is AssetKind.RWA
-            else s
-            for s in specs
-        )
-        return specs, demand, 1.0
-    # demand collapse
-    demand = replace(demand, base_inflow=demand.base_inflow * (1.0 - overlay.magnitude))
-    return specs, demand, 1.0
-
-
 def initial_state(config: ScenarioConfig) -> ProtocolState:
     c_total = config.initial.c_total
     holdings = tuple(
@@ -281,7 +256,6 @@ def initial_state(config: ScenarioConfig) -> ProtocolState:
         fee_rate=config.controller.fee_neutral,
         reward_rate=config.controller.reward_neutral,
         var_rate=config.controller.rate_neutral,
-        vault_book=VaultBook(),
         governance=config.governance,
     )
 
@@ -350,83 +324,38 @@ def step_once(
     s_o = state.omega.supply
     cv = state.crypto_value
     rv = state.rwa_value
-    pending = state.pending_payout
 
     # -- 2: collateral market move -------------------------------------------
     z = [float(shocks[j]) for j in range(n)]
-    fcs = fcw = frs = frw = 0.0
-    for i in range(n):
-        corr_z = 0.0
-        row = L[i]
-        for j in range(i + 1):
-            corr_z += row[j] * z[j]
-        f = math.exp(drift[i] - 0.5 * sigma[i] * sigma[i] + sigma[i] * corr_z)
-        w = config.collateral_weights[i]
-        if crypto_mask[i]:
-            fcs += w * f
-            fcw += w
-        else:
-            frs += w * f
-            frw += w
-    cv *= (fcs / fcw if fcw > 0 else 1.0) * crash_drop
-    rv *= frs / frw if frw > 0 else 1.0
+    fc, fr = book_return_factors(z, L, drift, sigma, config.collateral_weights, crypto_mask)
+    cv *= fc * crash_drop
+    rv *= fr
 
-    # -- 3: settlements and accruals -----------------------------------------
-    if pending > 0:
-        total = cv + rv
-        pay = min(pending, total)
-        scale = 1.0 - (pay / total if total > 0 else 0.0)
-        cv *= scale
-        rv *= scale
-        pending = 0.0
+    # -- 3: RWA yield ---------------------------------------------------------
     gross_yield = rv * rwa_rate
     retained = gross_yield * config.treasury_split
     rv += retained
     omega_yield_flow = gross_yield - retained
-    book = state.vault_book
-    if book.positions:
-        book, redemptions = accrue_vault_interest(book, max(state.var_rate, 0.0), t_next)
-        pending += sum(r.amount for r in redemptions)
 
     # -- 4: demand and protocol flows ----------------------------------------
     policy = config.mint_policy
     w_a = policy.alpha_omega_split
     w_o = 1.0 - w_a
     dmd = config.demand
-
-    def token_flows(price, weight):
-        if price <= 0:
-            return 0.0, 0.0
-        dev = (price - p_ref) / p_ref
-        scaled_base = base * weight
-        total = (
-            scaled_base
-            + dmd.sentiment_gain * trend * scaled_base
-            + dmd.deviation_gain * dev * scaled_base
-            + dmd.noise_vol * weight * eta
-        )
-        return total, total - scaled_base  # (full flow, market-facing part)
-
-    flow_a, resp_a = token_flows(p_a, w_a)
-    flow_o, resp_o = token_flows(p_o, w_o)
+    flow_a, resp_a = demand_flow(dmd, base, w_a, p_a, p_ref, trend, eta)
+    flow_o, resp_o = demand_flow(dmd, base, w_o, p_o, p_ref, trend, eta)
     net_inflow = flow_a + flow_o
 
     if net_inflow > 0:
-        notional = net_inflow / policy.min_collateral_ratio * (1.0 - policy.mint_fee)
-        if p_a > 0:
-            s_a += notional * w_a / p_a
-        if p_o > 0:
-            s_o += notional * w_o / p_o
-        cv += net_inflow * wc
-        rv += net_inflow * (1.0 - wc)
+        s_a, s_o, cv, rv = mint(policy, net_inflow, p_a, p_o, s_a, s_o, cv, rv, wc)
     elif net_inflow < 0:
         value = -net_inflow
         a_red = min(value * w_a / p_a if p_a > 0 else 0.0, s_a)
         o_red = min(value * w_o / p_o if p_o > 0 else 0.0, s_o)
-        s_a, s_o, cv, rv = _scalar_redeem(policy, a_red, o_red, p_a, p_o, s_a, s_o, cv, rv)
+        s_a, s_o, cv, rv = redeem(policy, a_red, o_red, p_a, p_o, s_a, s_o, cv, rv)
 
     if config.turnover > 0:
-        s_a, s_o, cv, rv = _scalar_redeem(
+        s_a, s_o, cv, rv = redeem(
             policy, config.turnover * s_a, config.turnover * s_o, p_a, p_o, s_a, s_o, cv, rv
         )
 
@@ -443,8 +372,8 @@ def step_once(
 
     mkt_a = resp_a * (1.0 - fee) - reward * sv_a
     mkt_o = resp_o * (1.0 - fee) - reward * sv_o + omega_yield_flow
-    p_a *= math.exp(mkt_a / config.depth_alpha)
-    p_o *= math.exp(mkt_o / config.depth_omega)
+    p_a = price_impact(p_a, mkt_a, config.depth_alpha)
+    p_o = price_impact(p_o, mkt_o, config.depth_omega)
     if config.micro_vol > 0:
         p_a *= math.exp(config.micro_vol * zeta_a)
         p_o *= math.exp(config.micro_vol * zeta_o)
@@ -462,37 +391,14 @@ def step_once(
     s_o *= 1.0 + reward
 
     # -- 6: liquidation and treasury skim ------------------------------------
-    supply_value = (s_a + s_o) * p_ref
     target_ratio = policy.min_collateral_ratio
-    if config.liq_enabled and supply_value > 0:
-        ratio = (cv + rv) / supply_value
-        if ratio < target_ratio:
-            recovery = (1.0 - config.liq_penalty) * min(ratio, 1.0)
-            x = (target_ratio * supply_value - (cv + rv)) / (target_ratio - recovery)
-            burned_value = min(x, supply_value)
-            released = recovery * burned_value
-            if config.omega_senior:
-                burn_tokens = burned_value / p_ref
-                a_burn = min(burn_tokens, s_a)
-                o_burn = min(burn_tokens - a_burn, s_o)
-            else:
-                frac = burned_value / supply_value
-                a_burn = frac * s_a
-                o_burn = frac * s_o
-            s_a = max(s_a - a_burn, 0.0)
-            s_o = max(s_o - o_burn, 0.0)
-            total = cv + rv
-            take = min(released, total)
-            if total > 0:
-                cv -= take * (cv / total)
-                rv -= take * (rv / total)
+    supply_value = (s_a + s_o) * p_ref
+    if config.liq_enabled and supply_value > 0 and (cv + rv) / supply_value < target_ratio:
+        s_a, s_o, cv, rv = liquidate(
+            s_a, s_o, cv, rv, p_ref, target_ratio, config.liq_penalty, config.omega_senior
+        )
     if config.skim_rate > 0:
-        target = target_ratio * (s_a + s_o) * p_ref
-        total = cv + rv
-        if total > target:
-            f = 1.0 - config.skim_rate * (total - target) / total
-            cv *= f
-            rv *= f
+        cv, rv = skim(cv, rv, s_a + s_o, p_ref, target_ratio, config.skim_rate)
 
     # -- 7: controller --------------------------------------------------------
     mid = 0.5 * (p_a + p_o)
@@ -530,8 +436,6 @@ def step_once(
         fee_rate=fee_r,
         reward_rate=reward_r,
         var_rate=var_r,
-        vault_book=book,
-        pending_payout=pending,
     )
 
     lo, hi = band_bounds(p_ref, config.band)
@@ -546,26 +450,15 @@ def step_once(
     return state, record
 
 
-def _scalar_redeem(policy, a_red, o_red, p_a, p_o, s_a, s_o, cv, rv):
-    """Scalar mirror of :func:`janus_sim.protocol.redeem` for the hot loop."""
-    value = a_red * p_a + o_red * p_o
-    if value <= 0:
-        return s_a, s_o, cv, rv
-    gross = value * (1.0 - policy.redeem_fee)
-    total = cv + rv
-    payout = min(gross, total)
-    fill = payout / gross if gross > 0 else 0.0
-    s_a = max(s_a - a_red * fill, 0.0)
-    s_o = max(s_o - o_red * fill, 0.0)
-    if total > 0:
-        take = min(payout, total)
-        cv -= take * (cv / total)
-        rv -= take * (rv / total)
-    return s_a, s_o, cv, rv
-
-
 def simulate_path(config: ScenarioConfig, path_index: int) -> SimTrace:
-    """Run one deterministic path; identical inputs give identical traces."""
+    """Run one deterministic path; identical inputs give identical traces.
+
+    A step that raises (overflow, an invalid state) or leaves a non-finite
+    price or collateral value stops the path: its last record is flagged
+    failed and ``diverged`` is set.  A step that raises leaves no state to
+    record, so the path ends with a terminal record for the next step with
+    zero prices, supplies and collateral.
+    """
     state = initial_state(config)
     shocks = shock_block(config.seed, path_index, config.horizon, shock_width(config))
     trace = SimTrace()
@@ -577,7 +470,16 @@ def simulate_path(config: ScenarioConfig, path_index: int) -> SimTrace:
         try:
             state, rec = step_once(state, config, shocks[t], trend, t)
         except (StateError, OverflowError):
-            failed = True
+            # the step blew up: end the path with a flagged terminal record
+            p_ref = reference_price(config.ref_policy, t + 1)
+            lo, hi = band_bounds(p_ref, config.band)
+            trace.append(
+                t=t + 1, p_a=0.0, p_omega=0.0, p_ref=p_ref, band_lo=lo, band_hi=hi,
+                supply_a=0.0, supply_omega=0.0, c_total=0.0, v1=0.0, v2=0.0,
+                net_inflow=0.0, fee_rate=0.0, reward_rate=0.0, var_rate=0.0,
+                in_band=0, failed=1,
+            )
+            trace.diverged = True
             break
         mid = 0.5 * (state.alpha.price + state.omega.price)
         finite = math.isfinite(mid) and math.isfinite(state.c_total)
@@ -616,17 +518,8 @@ def simulate_path(config: ScenarioConfig, path_index: int) -> SimTrace:
             failed=int(failed),
         )
         if not finite:
+            trace.diverged = True
             break
-    if failed and len(trace) == 0:
-        # path died on the very first step; emit a flagged terminal record
-        p_ref = reference_price(config.ref_policy, 1)
-        lo, hi = band_bounds(p_ref, config.band)
-        trace.append(
-            t=1, p_a=0.0, p_omega=0.0, p_ref=p_ref, band_lo=lo, band_hi=hi,
-            supply_a=0.0, supply_omega=0.0, c_total=0.0, v1=0.0, v2=0.0,
-            net_inflow=0.0, fee_rate=0.0, reward_rate=0.0, var_rate=0.0,
-            in_band=0, failed=1,
-        )
     return trace
 
 
@@ -647,6 +540,15 @@ class PathSummary:
 
 
 def path_summary(trace: SimTrace, config: ScenarioConfig, path_index: int) -> PathSummary:
+    """Reduce one trace to its failure flag, averages and terminal values.
+
+    ``in_band_fraction`` averages the in-band flag over the records after
+    the burn-in (the last record is always kept); ``mean_efficiency``
+    averages over all records.  A path that stopped early is averaged over
+    the records it has, and the steps it never reached count for nothing.
+    The terminal record of a step that raised counts as out of band and,
+    holding no collateral, at efficiency 0.
+    """
     failed = bool(trace.columns["failed"][-1])
     burn = min(BURN_IN_STEPS, max(len(trace) - 1, 0))
     in_band = trace.array("in_band")[burn:]
@@ -828,7 +730,7 @@ def frontier_sweep(
     for overrides in cells:
         cfg = _apply_overrides(base, overrides)
         summary = monte_carlo(cfg, n_paths, workers)
-        d = 1.0 - sum(w * w for w in cfg.governance.weights)
+        d = decentralization(cfg.governance)
         results.append((overrides, d, summary.mean_efficiency, 1.0 - summary.p_fail))
     flags = pareto_front([(d, e, s) for _, d, e, s in results])
     return [

@@ -8,7 +8,7 @@ from janus_sim.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from janus_sim.config_io import config_to_dict
 from janus_sim.sim_engine import TRACE_COLUMNS
 
-from test_sim_engine import quiescent_config, small_config
+from test_sim_engine import diverging_config, quiescent_config, small_config
 
 
 @pytest.fixture
@@ -59,6 +59,20 @@ class TestRun:
         out = tmp_path / "out"
         main(["run", "--config", scenario_file, "--out", str(out)])
         assert not [p for p in out.iterdir() if p.suffix == ".tmp"]
+
+    @pytest.mark.parametrize("horizon", [3, 30])
+    def test_divergence_exits_diverged(self, tmp_path, horizon):
+        # with seed 1, path 0 of this scenario blows up on its third step: at
+        # horizon 3 that is the last step, and the trace still has 3 rows
+        path = tmp_path / "diverging.json"
+        path.write_text(json.dumps(config_to_dict(diverging_config(horizon=horizon))))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(path), "--seed", "1", "--out", str(out)])
+        assert code == EXIT_DIVERGED
+        lines = (out / "trace.csv").read_text().splitlines()
+        assert len(lines) == 1 + 3
+        assert lines[-1].split(",")[-1] == "1"
+        assert json.loads((out / "summary.json").read_text())["failed"] is True
 
 
 class TestMc:

@@ -12,11 +12,14 @@ from janus_sim.market import (
     CorrelationMatrix,
     DemandParams,
     MarketError,
+    book_return_factors,
     cholesky_factor,
-    net_demand,
+    demand_flow,
     portfolio_variance,
-    step_asset_prices,
 )
+from janus_sim.sim_engine import ConfigError
+
+from test_sim_engine import small_config
 
 
 def random_correlation(rng, n):
@@ -71,24 +74,36 @@ class TestCholesky:
             cholesky_factor(c)
 
 
+def factors(specs, L, z, weights=None):
+    """(crypto, RWA) book factors of ``specs``, equally weighted by default."""
+    return book_return_factors(
+        list(z),
+        L,
+        [s.drift for s in specs],
+        [s.vol for s in specs],
+        weights or [1.0 / len(specs)] * len(specs),
+        [s.kind is AssetKind.CRYPTO for s in specs],
+    )
+
+
 class TestAssetStep:
     def test_geometric_step_formula(self):
         spec = AssetSpec(id=0, kind=AssetKind.CRYPTO, drift=0.001, vol=0.05)
-        L = np.eye(1)
-        z = np.array([1.3])
-        out = step_asset_prices(np.array([2.0]), [spec], L, z)
+        fc, fr = factors([spec], np.eye(1), [1.3])
         expected = 2.0 * math.exp(0.001 - 0.5 * 0.05**2 + 0.05 * 1.3)
-        assert out[0] == pytest.approx(expected, rel=1e-14)
+        assert 2.0 * fc == pytest.approx(expected, rel=1e-14)
+        assert fr == 1.0  # an empty book does not move
 
     def test_zero_vol_is_pure_drift(self):
         spec = AssetSpec(id=0, kind=AssetKind.RWA, drift=0.002, vol=0.0)
-        out = step_asset_prices(np.array([1.0]), [spec], np.eye(1), np.array([9.9]))
-        assert out[0] == pytest.approx(math.exp(0.002))
+        _, fr = factors([spec], np.eye(1), [9.9])
+        assert fr == pytest.approx(math.exp(0.002))
 
     def test_shape_mismatch_rejected(self):
-        spec = AssetSpec(id=0, kind=AssetKind.CRYPTO, drift=0.0, vol=0.1)
-        with pytest.raises(MarketError):
-            step_asset_prices(np.array([1.0, 2.0]), [spec], np.eye(1), np.array([0.0]))
+        # the step trusts its shapes: they are checked once, when the
+        # scenario is built
+        with pytest.raises(ConfigError):
+            small_config(collateral_weights=(1.0,))
 
     def test_correlated_draws_use_cholesky(self):
         rng = np.random.default_rng(3)
@@ -96,29 +111,45 @@ class TestAssetStep:
         L = cholesky_factor(c)
         specs = [
             AssetSpec(id=0, kind=AssetKind.CRYPTO, drift=0.0, vol=0.1),
-            AssetSpec(id=1, kind=AssetKind.CRYPTO, drift=0.0, vol=0.2),
+            AssetSpec(id=1, kind=AssetKind.RWA, drift=0.0, vol=0.2),
         ]
         z = np.array([0.5, -0.7])
-        out = step_asset_prices(np.array([1.0, 1.0]), specs, L, z)
+        fc, fr = factors(specs, L, z)
         shocks = L @ z
-        assert out[0] == pytest.approx(math.exp(-0.005 + 0.1 * shocks[0]))
-        assert out[1] == pytest.approx(math.exp(-0.02 + 0.2 * shocks[1]))
+        assert fc == pytest.approx(math.exp(-0.005 + 0.1 * shocks[0]))
+        assert fr == pytest.approx(math.exp(-0.02 + 0.2 * shocks[1]))
+
+    def test_book_factor_is_weighted_average(self):
+        specs = [
+            AssetSpec(id=0, kind=AssetKind.CRYPTO, drift=0.01, vol=0.0),
+            AssetSpec(id=1, kind=AssetKind.CRYPTO, drift=0.03, vol=0.0),
+        ]
+        fc, _ = factors(specs, np.eye(2), [0.0, 0.0], weights=(0.6, 0.2))
+        assert fc == pytest.approx((0.6 * math.exp(0.01) + 0.2 * math.exp(0.03)) / 0.8)
 
 
 class TestNetDemand:
     def test_components_sum(self):
         params = DemandParams(base_inflow=100.0, sentiment_gain=2.0, deviation_gain=-3.0, noise_vol=5.0)
-        got = net_demand(1.05, 1.0, 0.01, params, 0.4)
+        flow, market = demand_flow(params, 100.0, 1.0, 1.05, 1.0, 0.01, 0.4)
         expected = 100.0 + 2.0 * 0.01 * 100.0 + (-3.0) * 0.05 * 100.0 + 5.0 * 0.4
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert flow == pytest.approx(expected, rel=1e-12)
+        # only the structural base bypasses the market
+        assert market == pytest.approx(expected - 100.0, rel=1e-12)
+
+    def test_token_weight_scales_flow(self):
+        params = DemandParams(base_inflow=100.0, sentiment_gain=2.0, deviation_gain=-3.0, noise_vol=5.0)
+        whole, _ = demand_flow(params, 100.0, 1.0, 1.05, 1.0, 0.01, 0.4)
+        part, _ = demand_flow(params, 100.0, 0.25, 1.05, 1.0, 0.01, 0.4)
+        assert part == pytest.approx(0.25 * whole, rel=1e-12)
 
     def test_at_reference_no_deviation_term(self):
         params = DemandParams(base_inflow=50.0, deviation_gain=-10.0)
-        assert net_demand(1.0, 1.0, 0.0, params, 0.0) == pytest.approx(50.0)
+        assert demand_flow(params, 50.0, 1.0, 1.0, 1.0, 0.0, 0.0) == pytest.approx((50.0, 0.0))
 
-    def test_nonpositive_price_rejected(self):
-        with pytest.raises(MarketError):
-            net_demand(0.0, 1.0, 0.0, DemandParams(1.0), 0.0)
+    def test_nonpositive_price_gives_zero_flow(self):
+        params = DemandParams(base_inflow=1.0, noise_vol=3.0)
+        assert demand_flow(params, 1.0, 1.0, 0.0, 1.0, 0.0, 2.0) == (0.0, 0.0)
 
 
 class TestPortfolioVariance:

@@ -1,7 +1,9 @@
-"""Mint/redeem mechanics, vault accrual, yield, and liquidation."""
+"""Mint/redeem mechanics, RWA yield, liquidation, and the treasury skim."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,26 +13,22 @@ from janus_sim.core_state import (
     ProtocolState,
     TokenState,
 )
-from janus_sim.market import AssetKind, AssetSpec
+from janus_sim.market import AssetKind, AssetSpec, CorrelationMatrix
 from janus_sim.protocol import (
     MintPolicy,
     ProtocolError,
-    VaultBook,
-    VaultKind,
-    VaultPosition,
-    accrue_rwa_yield,
-    accrue_vault_interest,
     collateral_ratio,
     liquidate,
     mint,
     redeem,
-    rwa_yield_rate,
+    skim,
 )
+from janus_sim.sim_engine import initial_state, shock_width, step_once
 
-SPECS = [
-    AssetSpec(id=0, kind=AssetKind.CRYPTO, drift=0.0, vol=0.05),
-    AssetSpec(id=1, kind=AssetKind.RWA, drift=0.0, vol=0.001, yield_rate=0.0002),
-]
+from test_sim_engine import quiescent_config
+
+# (s_a, s_o, crypto, rwa) of a book at ratio 1.5 with both prices at 1
+BOOK = (1000.0, 1000.0, 1500.0, 1500.0)
 
 
 def make_state(alpha=(1.0, 1000.0), omega=(1.0, 1000.0), crypto=1500.0, rwa=1500.0):
@@ -48,190 +46,204 @@ def make_state(alpha=(1.0, 1000.0), omega=(1.0, 1000.0), crypto=1500.0, rwa=1500
         fee_rate=0.0,
         reward_rate=0.0,
         var_rate=0.001,
-        vault_book=VaultBook(),
         governance=GovernanceDistribution((1.0,)),
     )
+
+
+def do_mint(policy, value, prices=(1.0, 1.0), book=BOOK, crypto_share=0.5):
+    """Mint into ``book``; returns the successor book and the minted units."""
+    s_a, s_o, cv, rv = book
+    new = mint(policy, value, *prices, s_a, s_o, cv, rv, crypto_share)
+    return new, new[0] - s_a, new[1] - s_o
+
+
+def do_redeem(policy, a_red, o_red, prices=(1.0, 1.0), book=BOOK):
+    """Redeem from ``book``; returns the successor book and the payout."""
+    new = redeem(policy, a_red, o_red, *prices, *book)
+    return new, (book[2] + book[3]) - (new[2] + new[3])
 
 
 class TestMint:
     def test_minted_notional_formula(self):
         policy = MintPolicy(min_collateral_ratio=1.5, mint_fee=0.01, alpha_omega_split=0.5)
-        s, a, o = mint(make_state(), policy, 300.0, SPECS)
+        book, a, o = do_mint(policy, 300.0)
         notional = 300.0 / 1.5 * 0.99
         assert a == pytest.approx(notional / 2)
         assert o == pytest.approx(notional / 2)
-        assert s.c_total == pytest.approx(3300.0)
+        assert book[2] + book[3] == pytest.approx(3300.0)
 
     def test_split_respected(self):
         policy = MintPolicy(min_collateral_ratio=1.0, alpha_omega_split=0.25)
-        _, a, o = mint(make_state(), policy, 100.0, SPECS)
+        _, a, o = do_mint(policy, 100.0)
         assert a == pytest.approx(25.0)
         assert o == pytest.approx(75.0)
 
     def test_token_units_scale_with_price(self):
         policy = MintPolicy(min_collateral_ratio=1.0, alpha_omega_split=1.0)
-        _, a, _ = mint(make_state(alpha=(2.0, 10.0)), policy, 100.0, SPECS)
+        _, a, _ = do_mint(policy, 100.0, prices=(2.0, 1.0), book=(10.0, 1000.0, 1500.0, 1500.0))
         assert a == pytest.approx(50.0)
 
     def test_nonpositive_collateral_rejected(self):
         with pytest.raises(ProtocolError):
-            mint(make_state(), MintPolicy(1.0), 0.0, SPECS)
+            do_mint(MintPolicy(1.0), 0.0)
 
     def test_inflow_follows_weights(self):
-        s, _, _ = mint(make_state(), MintPolicy(1.0), 100.0, SPECS)
-        assert s.crypto_value == pytest.approx(1550.0)
-        assert s.rwa_value == pytest.approx(1550.0)
+        book, _, _ = do_mint(MintPolicy(1.0), 100.0)
+        assert book[2] == pytest.approx(1550.0)
+        assert book[3] == pytest.approx(1550.0)
 
 
 class TestRedeem:
     def test_round_trip_without_fees(self):
         policy = MintPolicy(min_collateral_ratio=1.0)
-        s0 = make_state()
-        s1, a, o = mint(s0, policy, 100.0, SPECS)
-        s2, payout = redeem(s1, policy, a, o, SPECS)
+        book, a, o = do_mint(policy, 100.0)
+        book2, payout = do_redeem(policy, a, o, book=book)
         assert payout == pytest.approx(100.0)
-        assert s2.alpha.supply == pytest.approx(s0.alpha.supply)
-        assert s2.c_total == pytest.approx(s0.c_total)
+        assert book2[0] == pytest.approx(BOOK[0])
+        assert book2[2] + book2[3] == pytest.approx(BOOK[2] + BOOK[3])
 
     def test_fee_reduces_payout(self):
         policy = MintPolicy(min_collateral_ratio=1.0, redeem_fee=0.1)
-        s, payout = redeem(make_state(), policy, 100.0, 0.0, SPECS)
+        book, payout = do_redeem(policy, 100.0, 0.0)
         assert payout == pytest.approx(90.0)
-        assert s.alpha.supply == pytest.approx(900.0)
+        assert book[0] == pytest.approx(900.0)
 
     def test_redeeming_more_than_supply_rejected(self):
         with pytest.raises(ProtocolError, match="exceeds supply"):
-            redeem(make_state(), MintPolicy(1.0), 1000.1, 0.0, SPECS)
+            do_redeem(MintPolicy(1.0), 1000.1, 0.0)
 
     def test_payout_capped_and_burn_scaled(self):
         # only 50 of collateral left; redeeming 200 of value burns 1/4 of it
-        s0 = make_state(crypto=50.0, rwa=0.0)
-        s1, payout = redeem(s0, MintPolicy(1.0), 200.0, 0.0, SPECS)
+        book, payout = do_redeem(MintPolicy(1.0), 200.0, 0.0, book=(1000.0, 1000.0, 50.0, 0.0))
         assert payout == pytest.approx(50.0)
-        assert s1.c_total == pytest.approx(0.0)
-        assert s1.alpha.supply == pytest.approx(1000.0 - 50.0)
+        assert book[2] + book[3] == pytest.approx(0.0)
+        assert book[0] == pytest.approx(1000.0 - 50.0)
 
     def test_empty_treasury_burns_nothing(self):
-        s0 = make_state(crypto=0.0, rwa=0.0)
-        s1, payout = redeem(s0, MintPolicy(1.0), 100.0, 100.0, SPECS)
+        book, payout = do_redeem(MintPolicy(1.0), 100.0, 100.0, book=(1000.0, 1000.0, 0.0, 0.0))
         assert payout == 0.0
-        assert s1.alpha.supply == pytest.approx(1000.0)
-        assert s1.omega.supply == pytest.approx(1000.0)
+        assert book[0] == pytest.approx(1000.0)
+        assert book[1] == pytest.approx(1000.0)
 
     def test_zero_request_is_noop(self):
-        s0 = make_state()
-        s1, payout = redeem(s0, MintPolicy(1.0), 0.0, 0.0, SPECS)
+        book, payout = do_redeem(MintPolicy(1.0), 0.0, 0.0)
         assert payout == 0.0
-        assert s1 == s0
+        assert book == BOOK
 
     @given(st.floats(0.0, 0.2), st.floats(1.0, 3.0), st.floats(1.0, 500.0))
     def test_mint_redeem_never_profitable(self, fee, ratio, amount):
         policy = MintPolicy(min_collateral_ratio=ratio, mint_fee=fee, redeem_fee=fee)
-        s1, a, o = mint(make_state(), policy, amount, SPECS)
-        _, payout = redeem(s1, policy, a, o, SPECS)
+        book, a, o = do_mint(policy, amount)
+        _, payout = do_redeem(policy, a, o, book=book)
         assert payout <= amount * (1 + 1e-9)
 
 
-class TestVaults:
-    def test_fixed_rate_accrual(self):
-        book = VaultBook((VaultPosition(VaultKind.FIXED_RATE, 100.0, rate=0.01),))
-        book2, reds = accrue_vault_interest(book, variable_rate=0.5, t=1)
-        assert not reds
-        assert book2.positions[0].accrued == pytest.approx(1.0)
+def yield_config(assets, weights, treasury_split):
+    """A quiescent scenario (no flows, noise, drift or volatility) over
+    ``assets``, so one step changes the books by the RWA yield alone."""
+    n = len(assets)
+    return replace(
+        quiescent_config(),
+        assets=tuple(assets),
+        correlation=CorrelationMatrix.identity(n),
+        collateral_weights=tuple(weights),
+        treasury_split=treasury_split,
+    )
 
-    def test_variable_kinds_use_protocol_rate(self):
-        book = VaultBook(
-            (
-                VaultPosition(VaultKind.VARIABLE_RATE, 100.0, rate=0.5),
-                VaultPosition(VaultKind.BORROW_LEND, 200.0, rate=0.5),
-            )
-        )
-        book2, _ = accrue_vault_interest(book, variable_rate=0.002, t=1)
-        assert book2.positions[0].accrued == pytest.approx(0.2)
-        assert book2.positions[1].accrued == pytest.approx(0.4)
 
-    def test_fixed_horizon_matures(self):
-        book = VaultBook(
-            (VaultPosition(VaultKind.FIXED_HORIZON, 100.0, rate=0.01, maturity=5),)
-        )
-        book2, reds = accrue_vault_interest(book, 0.0, t=4)
-        assert len(book2.positions) == 1 and not reds
-        book3, reds = accrue_vault_interest(book2, 0.0, t=5)
-        assert not book3.positions
-        assert len(reds) == 1
-        assert reds[0].amount == pytest.approx(100.0 + 2.0)
+def one_step(cfg):
+    s0 = initial_state(cfg)
+    s1, _ = step_once(s0, cfg, np.zeros(shock_width(cfg)), 0.0, 0)
+    return s0, s1
 
-    def test_maturity_only_for_fixed_horizon(self):
-        with pytest.raises(ProtocolError):
-            VaultPosition(VaultKind.INFINITE, 10.0, maturity=3)
-        with pytest.raises(ProtocolError):
-            VaultPosition(VaultKind.FIXED_HORIZON, 10.0)
 
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ProtocolError):
-            accrue_vault_interest(VaultBook(), -0.1, 0)
+YIELD_ASSETS = (
+    AssetSpec(id=0, kind=AssetKind.CRYPTO, drift=0.0, vol=0.0),
+    AssetSpec(id=1, kind=AssetKind.RWA, drift=0.0, vol=0.0, yield_rate=0.0002),
+)
 
 
 class TestYield:
     def test_weighted_yield_rate(self):
-        assert rwa_yield_rate(make_state(), SPECS) == pytest.approx(0.0002)
+        assets = YIELD_ASSETS + (
+            AssetSpec(id=2, kind=AssetKind.RWA, drift=0.0, vol=0.0, yield_rate=0.0007),
+        )
+        s0, s1 = one_step(yield_config(assets, (0.5, 0.3, 0.2), treasury_split=1.0))
+        rate = (0.3 * 0.0002 + 0.2 * 0.0007) / 0.5
+        assert s1.rwa_value == pytest.approx(s0.rwa_value * (1.0 + rate), rel=1e-12)
+        assert s1.crypto_value == s0.crypto_value
 
     def test_accrual_split(self):
-        s, omega_flow = accrue_rwa_yield(make_state(), SPECS, treasury_split=0.25)
-        gross = 1500.0 * 0.0002
-        assert s.rwa_value == pytest.approx(1500.0 + 0.25 * gross)
-        assert omega_flow == pytest.approx(0.75 * gross)
+        cfg = yield_config(YIELD_ASSETS, (0.5, 0.5), treasury_split=0.25)
+        s0, s1 = one_step(cfg)
+        gross = s0.rwa_value * 0.0002
+        assert s1.rwa_value == pytest.approx(s0.rwa_value + 0.25 * gross, rel=1e-12)
+        # the rest supports the Omega market as a buy flow
+        assert s1.omega.price == pytest.approx(
+            s0.omega.price * math.exp(0.75 * gross / cfg.depth_omega), rel=1e-12
+        )
+        assert s1.alpha.price == s0.alpha.price
 
     def test_full_retention(self):
-        s, omega_flow = accrue_rwa_yield(make_state(), SPECS, treasury_split=1.0)
-        assert omega_flow == 0.0
-        assert s.c_total == pytest.approx(3000.0 + 0.3)
+        s0, s1 = one_step(yield_config(YIELD_ASSETS, (0.5, 0.5), treasury_split=1.0))
+        assert s1.omega.price == s0.omega.price
+        assert s1.c_total == pytest.approx(s0.c_total + s0.rwa_value * 0.0002, rel=1e-12)
 
     def test_no_rwa_no_yield(self):
-        s = make_state(crypto=3000.0, rwa=0.0)
-        specs = [SPECS[0], AssetSpec(id=1, kind=AssetKind.CRYPTO, drift=0.0, vol=0.1)]
-        assert rwa_yield_rate(s, specs) == 0.0
+        assets = (YIELD_ASSETS[0], AssetSpec(id=1, kind=AssetKind.CRYPTO, drift=0.0, vol=0.0))
+        s0, s1 = one_step(yield_config(assets, (0.5, 0.5), treasury_split=0.5))
+        assert s1.rwa_value == 0.0
+        assert s1.c_total == pytest.approx(s0.c_total, rel=1e-12)
+
+
+def ratio(book, p_ref=1.0):
+    s_a, s_o, cv, rv = book
+    return (cv + rv) / ((s_a + s_o) * p_ref)
+
+
+# ratio 0.5 at p_ref 1
+SHORT = (1000.0, 1000.0, 1000.0, 0.0)
 
 
 class TestLiquidation:
     def test_noop_above_target(self):
-        s = make_state()  # ratio 1.5 at p_ref 1
-        s2, burned = liquidate(s, MintPolicy(1.2), penalty=0.1, p_ref=1.0)
-        assert burned == 0.0
-        assert s2 == s
+        assert liquidate(*BOOK, 1.0, 1.2, 0.1) == BOOK  # ratio 1.5
 
     def test_restores_min_ratio(self):
-        s = make_state(crypto=1000.0, rwa=0.0)  # ratio 0.5
-        policy = MintPolicy(1.2)
-        s2, burned = liquidate(s, policy, penalty=0.1, p_ref=1.0)
-        assert burned > 0
-        assert collateral_ratio(s2, 1.0) == pytest.approx(1.2, rel=1e-9)
+        book = liquidate(*SHORT, 1.0, 1.2, 0.1)
+        assert book[0] + book[1] < SHORT[0] + SHORT[1]
+        assert ratio(book) == pytest.approx(1.2, rel=1e-9)
 
     def test_idempotent(self):
-        s = make_state(crypto=1000.0, rwa=0.0)
-        policy = MintPolicy(1.2)
-        s2, _ = liquidate(s, policy, 0.1, 1.0)
-        s3, burned = liquidate(s2, policy, 0.1, 1.0)
-        assert burned == 0.0
-        assert s3 == s2
+        book = liquidate(*SHORT, 1.0, 1.2, 0.1)
+        assert liquidate(*book, 1.0, 1.2, 0.1) == book
 
     def test_penalty_destroys_value(self):
-        s = make_state(crypto=1000.0, rwa=0.0)
-        no_pen, _ = liquidate(s, MintPolicy(1.2), 0.0, 1.0)
-        with_pen, _ = liquidate(s, MintPolicy(1.2), 0.3, 1.0)
+        no_pen = liquidate(*SHORT, 1.0, 1.2, 0.0)
+        with_pen = liquidate(*SHORT, 1.0, 1.2, 0.3)
         # a harsher penalty burns less supply to reach the same ratio
-        assert with_pen.total_supply > no_pen.total_supply
+        assert with_pen[0] + with_pen[1] > no_pen[0] + no_pen[1]
 
     def test_omega_senior_burns_alpha_first(self):
         # mild shortfall: the alpha tranche alone absorbs the burn
-        s = make_state(crypto=2000.0, rwa=0.0)
-        s2, _ = liquidate(s, MintPolicy(1.05), 0.1, 1.0, omega_senior=True)
-        assert s2.alpha.supply < s.alpha.supply
-        assert s2.omega.supply == pytest.approx(s.omega.supply)
+        book = liquidate(1000.0, 1000.0, 2000.0, 0.0, 1.0, 1.05, 0.1, omega_senior=True)
+        assert book[0] < 1000.0
+        assert book[1] == pytest.approx(1000.0)
 
     def test_ratio_infinite_without_supply(self):
         s = make_state(alpha=(1.0, 0.0), omega=(1.0, 0.0))
         assert math.isinf(collateral_ratio(s, 1.0))
+
+
+class TestSkim:
+    def test_pays_out_share_of_surplus(self):
+        cv, rv = skim(1500.0, 500.0, 1000.0, 1.0, 1.2, 0.25)
+        # surplus 2000 - 1200 = 800; a quarter of it leaves both books pro rata
+        assert cv + rv == pytest.approx(1800.0)
+        assert cv / rv == pytest.approx(3.0)
+
+    def test_noop_at_or_below_target(self):
+        assert skim(600.0, 600.0, 1000.0, 1.0, 1.2, 0.5) == (600.0, 600.0)
 
 
 class TestPolicyValidation:

@@ -1,10 +1,13 @@
 """Path engine, shock streams, failure logic, ensembles, and sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from janus_sim.config_io import load_preset
 from janus_sim.controller import ControllerParams
 from janus_sim.core_state import GovernanceDistribution, PegBand, ReferencePricePolicy
 from janus_sim.market import AssetKind, AssetSpec, CorrelationMatrix, DemandParams
@@ -23,6 +26,7 @@ from janus_sim.sim_engine import (
     initial_state,
     monte_carlo,
     pareto_front,
+    path_summary,
     price_impact,
     simulate_path,
     step_once,
@@ -243,6 +247,58 @@ class TestSimulatePath:
         )
         tr = simulate_path(cfg, 0)
         assert tr.columns["failed"][0] == 1
+
+
+def diverging_config(**overrides):
+    """janus_baseline with thin markets, reflexive demand and no fee or
+    reward control: most paths blow up within a few steps."""
+    cfg = load_preset("janus_baseline")
+    return replace(
+        cfg,
+        depth_alpha=20.0,
+        depth_omega=20.0,
+        demand=replace(cfg.demand, deviation_gain=4.0, sentiment_gain=5.0),
+        controller=replace(cfg.controller, fee_gain=0.0, reward_gain=0.0),
+        **overrides,
+    )
+
+
+class TestDivergence:
+    def test_diverged_paths_count_as_failures(self):
+        cfg = diverging_config()
+        for i in range(10):
+            tr = simulate_path(cfg, i)
+            if len(tr) < cfg.horizon:
+                assert tr.diverged
+                assert tr.columns["failed"][-1] == 1
+                # the terminal record stands for the step that raised
+                assert tr.columns["t"][-1] == len(tr)
+                assert tr.columns["p_a"][-1] == 0.0 and tr.columns["c_total"][-1] == 0.0
+                assert tr.columns["in_band"][-1] == 0
+        # paths 1, 2, 5, 6, 8 and 9 blow up within three steps; the failure
+        # rules flag the rest from their first step
+        assert monte_carlo(cfg, 10).failures == 10
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        depth=st.floats(5.0, 500.0),
+        deviation_gain=st.floats(-6.0, 6.0),
+        sentiment_gain=st.floats(0.0, 8.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_truncated_path_is_failed(self, depth, deviation_gain, sentiment_gain, seed):
+        cfg = diverging_config(horizon=40, seed=seed)
+        cfg = replace(
+            cfg,
+            depth_alpha=depth,
+            depth_omega=depth,
+            demand=replace(cfg.demand, deviation_gain=deviation_gain, sentiment_gain=sentiment_gain),
+        )
+        tr = simulate_path(cfg, 0)
+        if len(tr) < cfg.horizon:
+            assert path_summary(tr, cfg, 0).failed
+        if tr.diverged:
+            assert tr.columns["failed"][-1] == 1
 
 
 class TestStress:
