@@ -75,9 +75,10 @@ class ControlAction:
     reward_delta: float = 0.0
     rate_delta: float = 0.0
 
-    @property
-    def is_zero(self) -> bool:
-        return self.fee_delta == 0.0 and self.reward_delta == 0.0 and self.rate_delta == 0.0
+
+# The action of an idle step (inside the band, or no positive price).
+# Immutable, so one shared instance serves every such step.
+NO_ACTION = ControlAction()
 
 
 class Stability(str, Enum):
@@ -121,7 +122,7 @@ def control_action(
     d = (price - p_ref) / p_ref
     eps = band.epsilon
     if abs(d) <= eps:
-        return ControlAction()
+        return NO_ACTION
     excess = abs(d) - eps
     sign = 1.0 if d > 0 else -1.0
     return ControlAction(

@@ -23,7 +23,7 @@ The retired slots keep the length of the equilibrium output's ``x_star``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,9 +118,7 @@ class CollateralHolding:
 class ProtocolState:
     """Full system state for one simulation step.
 
-    Immutable; transitions construct successor states.  ``clamped`` flags
-    that ``from_vector`` had to clip negative entries (the solver may probe
-    negative space) and is not part of the numeric sub-state.
+    Immutable; transitions construct successor states.
     """
 
     time_step: int
@@ -134,7 +132,6 @@ class ProtocolState:
     reward_rate: float
     var_rate: float
     governance: GovernanceDistribution
-    clamped: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         for name in ("crypto_value", "rwa_value", "c_total"):
@@ -202,8 +199,8 @@ def to_vector(state: ProtocolState) -> np.ndarray:
 def from_vector(v: np.ndarray, template: ProtocolState) -> ProtocolState:
     """Rebuild a state from a vector, taking non-numeric fields from template.
 
-    Negative entries are clamped to zero and flagged; the two retired slots
-    are ignored.
+    Negative monetary entries (the solver may probe negative space) are
+    clamped to zero; the two retired slots are ignored.
     """
     v = np.asarray(v, dtype=float)
     dim = vector_dim(template)
@@ -214,7 +211,6 @@ def from_vector(v: np.ndarray, template: ProtocolState) -> ProtocolState:
     # only monetary quantities are clamped.
     monetary = np.ones(dim - 2, dtype=bool)
     monetary[6:9] = False
-    clamped = bool(np.any(v[monetary] < 0.0))
     v = np.where(monetary, np.maximum(v, 0.0), v)
     holdings = tuple(
         replace(h, units=float(v[HEADER_DIM + i]))
@@ -232,5 +228,4 @@ def from_vector(v: np.ndarray, template: ProtocolState) -> ProtocolState:
         fee_rate=float(v[6]),
         reward_rate=float(v[7]),
         var_rate=float(v[8]),
-        clamped=clamped,
     )

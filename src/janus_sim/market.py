@@ -123,10 +123,11 @@ def book_return_factors(
 
     Asset i moves by exp(mu_i - sigma_i^2/2 + sigma_i * (L z)_i); the crypto
     and RWA books move by the weight-averaged factor of their assets (1 for
-    an empty book).
+    an empty book).  Entries of ``z`` past the last asset are ignored, so the
+    step can pass its whole shock row.
     """
     fcs = fcw = frs = frw = 0.0
-    for i in range(len(z)):
+    for i in range(len(drift)):
         corr_z = 0.0
         row = L[i]
         for j in range(i + 1):

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core_state import ProtocolState
-
 
 class ProtocolError(ValueError):
     """Raised when a protocol transition precondition is violated."""
@@ -104,14 +102,16 @@ def redeem(
     return s_a, s_o, cv, rv
 
 
-def collateral_ratio(state: ProtocolState, p_ref: float) -> float:
-    """C_total / (total token supply * p_ref); inf when supply is zero."""
+def collateral_ratio(c_total: float, supply: float, p_ref: float) -> float:
+    """c_total / (supply * p_ref): the collateral held per unit of supply
+    value, with ``supply`` the total Alpha plus Omega supply; inf when
+    supply is zero."""
     if p_ref <= 0:
         raise ProtocolError("reference price must be positive")
-    denom = state.total_supply * p_ref
+    denom = supply * p_ref
     if denom <= 0:
         return math.inf
-    return state.c_total / denom
+    return c_total / denom
 
 
 def liquidate(

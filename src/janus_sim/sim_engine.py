@@ -12,6 +12,17 @@ One step executes a frozen sub-step order:
     7. evaluate the feedback controller and apply saturated deltas
     8. record the step
 
+Sub-steps 2-7 are written once, in ``_advance``: a core that takes and
+returns the step's numbers as plain floats (prices, supplies, the two
+collateral books, the three controller rates) and calls the mechanic
+functions of ``market``, ``protocol`` and ``controller``.  It has two entry
+points.  ``simulate_path`` keeps a path's floats in locals, runs the core
+on them step by step and appends each record straight to the trace
+columns, building no state object inside its loop.  ``step_once`` is the
+state-level wrapper used by the equilibrium solver's ``step_map``: it
+unpacks a ``ProtocolState``, calls the core and packs the successor state
+and the step's record.  Both give the same floats for the same inputs.
+
 Demand routing: the structural base inflow enters through genesis minting
 (new holders mint at the protocol, no order-book impact), while the
 trend/deviation/noise components are market flows that carry price impact
@@ -24,6 +35,7 @@ admits interior fixed points with finite supply.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -32,7 +44,7 @@ from enum import Enum
 
 import numpy as np
 
-from .controller import ControlAction, ControllerParams, apply_action, control_action
+from .controller import NO_ACTION, ControllerParams, apply_action, control_action
 from .core_state import (
     CollateralHolding,
     GovernanceDistribution,
@@ -168,7 +180,7 @@ class ScenarioConfig:
         cholesky_factor(self.correlation)  # PSD gate at construction
 
     def __hash__(self):
-        # Deep-frozen, so the field hash is memoized; the step loop hashes the
+        # Deep-frozen, so the field hash is memoized; step_once hashes the
         # config on every table lookup.
         cached = self.__dict__.get("_hash")
         if cached is None:
@@ -208,10 +220,6 @@ class SimTrace:
 
     columns: dict[str, list] = field(default_factory=lambda: {c: [] for c in TRACE_COLUMNS})
     diverged: bool = False
-
-    def append(self, **row):
-        for c in TRACE_COLUMNS:
-            self.columns[c].append(row[c])
 
     def __len__(self):
         return len(self.columns["t"])
@@ -279,35 +287,60 @@ def _config_tables(config: ScenarioConfig):
     return L, drift, sigma, crypto_mask, wc, wr, rwa_rate
 
 
-def step_once(
-    state: ProtocolState,
+@functools.lru_cache(maxsize=64)
+def _reference_track(config: ScenarioConfig):
+    """Reference price and band bounds after each step 1..horizon of a path."""
+    p_refs = tuple(reference_price(config.ref_policy, t) for t in range(1, config.horizon + 1))
+    bounds = [band_bounds(p_ref, config.band) for p_ref in p_refs]
+    return p_refs, tuple(lo for lo, _ in bounds), tuple(hi for _, hi in bounds)
+
+
+def _holding_units(
+    cv: float, rv: float, weight: float, is_crypto: bool, wc: float, wr: float
+) -> float:
+    """Units of a holding: its ``weight`` share of its class book, with
+    ``wc``/``wr`` the total crypto/RWA weight."""
+    if is_crypto:
+        return cv * weight / wc if wc > 0 else 0.0
+    return rv * weight / wr if wr > 0 else 0.0
+
+
+def _advance(
     config: ScenarioConfig,
-    shocks: np.ndarray,
+    tables: tuple,
+    row: list[float],
     trend: float,
     t: int,
-    frozen_time: bool = False,
-) -> tuple[ProtocolState, dict]:
-    """One full transition; pure given (state, config, shocks, trend, t).
+    p_ref: float,
+    p_a: float,
+    s_a: float,
+    p_o: float,
+    s_o: float,
+    cv: float,
+    rv: float,
+    fee_rate: float,
+    reward_rate: float,
+    var_rate: float,
+) -> tuple[float, ...]:
+    """Sub-steps 2-7 on plain floats: the engine's one copy of the step.
 
-    With ``frozen_time`` the reference price and stress clock stay at step
-    zero, making the map autonomous for the equilibrium solver.
+    ``tables`` is ``_config_tables(config)``, ``row`` the step's shock row,
+    ``t`` the stress clock and ``p_ref`` the reference price after the step.
+    Returns (p_a, s_a, p_o, s_o, crypto_value, rwa_value, fee_rate,
+    reward_rate, var_rate, net_inflow), supplies and books floored at zero.
+    Raises OverflowError when a price blows up and StateError when rounding
+    overdraws a collateral book.
     """
-    n = len(config.assets)
-    eta = float(shocks[n])
-    zeta_a = float(shocks[n + 1])
-    zeta_o = float(shocks[n + 2])
+    L, drift, sigma, crypto_mask, wc, wr, rwa_rate = tables
+    n = len(drift)
+    eta = row[n]
 
-    t_clock = 0 if frozen_time else t
-    t_next = state.time_step if frozen_time else state.time_step + 1
-    p_ref = reference_price(config.ref_policy, 0 if frozen_time else t_next)
-
-    L, drift, sigma, crypto_mask, wc, wr, rwa_rate = _config_tables(config)
     base = config.demand.base_inflow
     overlay = config.stress
     crash_drop = 1.0
-    if overlay is not None and overlay.active(t_clock):
+    if overlay is not None and overlay.active(t):
         if overlay.kind is StressKind.CRYPTO_CRASH:
-            if t_clock == overlay.onset:
+            if t == overlay.onset:
                 crash_drop = 1.0 - overlay.magnitude
             sigma = tuple(
                 s * 2.0 if c else s for s, c in zip(sigma, crypto_mask)
@@ -317,17 +350,8 @@ def step_once(
         else:  # demand collapse
             base *= 1.0 - overlay.magnitude
 
-    # Working scalars; the successor state is assembled once at the end.
-    p_a = state.alpha.price
-    s_a = state.alpha.supply
-    p_o = state.omega.price
-    s_o = state.omega.supply
-    cv = state.crypto_value
-    rv = state.rwa_value
-
     # -- 2: collateral market move -------------------------------------------
-    z = [float(shocks[j]) for j in range(n)]
-    fc, fr = book_return_factors(z, L, drift, sigma, config.collateral_weights, crypto_mask)
+    fc, fr = book_return_factors(row, L, drift, sigma, config.collateral_weights, crypto_mask)
     cv *= fc * crash_drop
     rv *= fr
 
@@ -360,8 +384,8 @@ def step_once(
         )
 
     # -- 5: price impact ------------------------------------------------------
-    fee = min(max(state.fee_rate, 0.0), 1.0)
-    reward = state.reward_rate
+    fee = min(max(fee_rate, 0.0), 1.0)
+    reward = reward_rate
     sv_a = p_a * s_a
     sv_o = p_o * s_o
     emission_cost = reward * (sv_a + sv_o)
@@ -375,8 +399,8 @@ def step_once(
     p_a = price_impact(p_a, mkt_a, config.depth_alpha)
     p_o = price_impact(p_o, mkt_o, config.depth_omega)
     if config.micro_vol > 0:
-        p_a *= math.exp(config.micro_vol * zeta_a)
-        p_o *= math.exp(config.micro_vol * zeta_o)
+        p_a *= math.exp(config.micro_vol * row[n + 1])
+        p_o *= math.exp(config.micro_vol * row[n + 2])
 
     # emission proceeds accrue to (or buybacks spend from) the treasury
     old_total = cv + rv
@@ -402,40 +426,87 @@ def step_once(
 
     # -- 7: controller --------------------------------------------------------
     mid = 0.5 * (p_a + p_o)
-    current = (state.fee_rate, state.reward_rate, state.var_rate)
+    current = (fee_rate, reward_rate, var_rate)
     if mid > 0:
         action = control_action(mid, p_ref, config.band, config.controller, current)
     else:
-        action = ControlAction()
-    fee_r, reward_r, var_r = apply_action(config.controller, current, action)
+        action = NO_ACTION
+    fee_rate, reward_rate, var_rate = apply_action(config.controller, current, action)
+
+    # A payout that empties the books can overdraw one by rounding; the
+    # holdings it leaves would be negative.
+    if (cv < 0.0 or rv < 0.0) and any(
+        _holding_units(cv, rv, w, c, wc, wr) < 0
+        for w, c in zip(config.collateral_weights, crypto_mask)
+    ):
+        raise StateError("collateral units must be non-negative")
+
+    return (
+        p_a, max(s_a, 0.0), p_o, max(s_o, 0.0), max(cv, 0.0), max(rv, 0.0),
+        fee_rate, reward_rate, var_rate, net_inflow,
+    )
+
+
+def step_once(
+    state: ProtocolState,
+    config: ScenarioConfig,
+    shocks: np.ndarray,
+    trend: float,
+    t: int,
+    frozen_time: bool = False,
+) -> tuple[ProtocolState, dict]:
+    """One full transition; pure given (state, config, shocks, trend, t).
+
+    Unpacks ``state`` into ``_advance`` and packs its floats into the
+    successor state and the step's record (``p_ref``, ``band_lo``,
+    ``band_hi``, ``net_inflow``, ``in_band``).  With ``frozen_time`` the
+    reference price and stress clock stay at step zero, making the map
+    autonomous for the equilibrium solver.
+    """
+    t_next = state.time_step if frozen_time else state.time_step + 1
+    p_ref = reference_price(config.ref_policy, 0 if frozen_time else t_next)
+    tables = _config_tables(config)
+    p_a, s_a, p_o, s_o, cv, rv, fee_rate, reward_rate, var_rate, net_inflow = _advance(
+        config,
+        tables,
+        np.asarray(shocks, dtype=float).tolist(),
+        trend,
+        0 if frozen_time else t,
+        p_ref,
+        state.alpha.price,
+        state.alpha.supply,
+        state.omega.price,
+        state.omega.supply,
+        state.crypto_value,
+        state.rwa_value,
+        state.fee_rate,
+        state.reward_rate,
+        state.var_rate,
+    )
 
     # Holdings are bookkeeping derived from the class values; resync so the
     # units coordinates never act as free integrators in the step map.
-    holdings = state.collateral
-    if holdings:
-        holdings = tuple(
-            CollateralHolding(
-                asset_id=h.asset_id,
-                units=(cv * h.weight / wc if wc > 0 else 0.0)
-                if crypto_mask[h.asset_id]
-                else (rv * h.weight / wr if wr > 0 else 0.0),
-                weight=h.weight,
-            )
-            for h in holdings
+    _, _, _, crypto_mask, wc, wr, _ = tables
+    holdings = tuple(
+        CollateralHolding(
+            asset_id=h.asset_id,
+            units=_holding_units(cv, rv, h.weight, crypto_mask[h.asset_id], wc, wr),
+            weight=h.weight,
         )
-
+        for h in state.collateral
+    )
     state = replace(
         state,
         time_step=t_next,
-        alpha=TokenState(p_a, max(s_a, 0.0)),
-        omega=TokenState(p_o, max(s_o, 0.0)),
+        alpha=TokenState(p_a, s_a),
+        omega=TokenState(p_o, s_o),
         collateral=holdings,
-        crypto_value=max(cv, 0.0),
-        rwa_value=max(rv, 0.0),
-        c_total=max(cv, 0.0) + max(rv, 0.0),
-        fee_rate=fee_r,
-        reward_rate=reward_r,
-        var_rate=var_r,
+        crypto_value=cv,
+        rwa_value=rv,
+        c_total=cv + rv,
+        fee_rate=fee_rate,
+        reward_rate=reward_rate,
+        var_rate=var_rate,
     )
 
     lo, hi = band_bounds(p_ref, config.band)
@@ -445,7 +516,6 @@ def step_once(
         "band_hi": hi,
         "net_inflow": net_inflow,
         "in_band": (lo <= p_a <= hi) and (lo <= p_o <= hi),
-        "action": action,
     }
     return state, record
 
@@ -453,70 +523,73 @@ def step_once(
 def simulate_path(config: ScenarioConfig, path_index: int) -> SimTrace:
     """Run one deterministic path; identical inputs give identical traces.
 
-    A step that raises (overflow, an invalid state) or leaves a non-finite
-    price or collateral value stops the path: its last record is flagged
-    failed and ``diverged`` is set.  A step that raises leaves no state to
-    record, so the path ends with a terminal record for the next step with
-    zero prices, supplies and collateral.
+    The path's floats go through ``_advance`` step by step and each record
+    is appended straight to the trace's columns.  A step that raises
+    (overflow, an invalid state) or leaves a non-finite price or collateral
+    value stops the path: its last record is flagged failed and
+    ``diverged`` is set.  A step that raises leaves no state to record, so
+    the path ends with a terminal record for the next step with zero
+    prices, supplies and collateral.
     """
     state = initial_state(config)
-    shocks = shock_block(config.seed, path_index, config.horizon, shock_width(config))
+    rows = shock_block(config.seed, path_index, config.horizon, shock_width(config)).tolist()
+    tables = _config_tables(config)
+    p_refs, los, his = _reference_track(config)
+    grace = config.failure.grace
+    floor = config.failure.floor
+
+    p_a, s_a = state.alpha.price, state.alpha.supply
+    p_o, s_o = state.omega.price, state.omega.supply
+    cv, rv = state.crypto_value, state.rwa_value
+    fee_rate, reward_rate, var_rate = state.fee_rate, state.reward_rate, state.var_rate
+
     trace = SimTrace()
+    cols = trace.columns
+    appends = [cols[c].append for c in TRACE_COLUMNS]
     trend = 0.0
-    prev_mid = 0.5 * (state.alpha.price + state.omega.price)
+    prev_mid = 0.5 * (p_a + p_o)
     out_streak = 0
     failed = False
     for t in range(config.horizon):
+        p_ref = p_refs[t]
+        lo = los[t]
+        hi = his[t]
         try:
-            state, rec = step_once(state, config, shocks[t], trend, t)
+            p_a, s_a, p_o, s_o, cv, rv, fee_rate, reward_rate, var_rate, net_inflow = _advance(
+                config, tables, rows[t], trend, t, p_ref,
+                p_a, s_a, p_o, s_o, cv, rv, fee_rate, reward_rate, var_rate,
+            )
         except (StateError, OverflowError):
             # the step blew up: end the path with a flagged terminal record
-            p_ref = reference_price(config.ref_policy, t + 1)
-            lo, hi = band_bounds(p_ref, config.band)
-            trace.append(
-                t=t + 1, p_a=0.0, p_omega=0.0, p_ref=p_ref, band_lo=lo, band_hi=hi,
-                supply_a=0.0, supply_omega=0.0, c_total=0.0, v1=0.0, v2=0.0,
-                net_inflow=0.0, fee_rate=0.0, reward_rate=0.0, var_rate=0.0,
-                in_band=0, failed=1,
-            )
+            record = (t + 1, 0.0, 0.0, p_ref, lo, hi) + (0.0,) * 9 + (0, 1)
+            for append, value in zip(appends, record):
+                append(value)
             trace.diverged = True
             break
-        mid = 0.5 * (state.alpha.price + state.omega.price)
-        finite = math.isfinite(mid) and math.isfinite(state.c_total)
+        c_total = cv + rv
+        in_band = (lo <= p_a <= hi) and (lo <= p_o <= hi)
+        mid = 0.5 * (p_a + p_o)
+        finite = math.isfinite(mid) and math.isfinite(c_total)
         if not finite:
             failed = True
         else:
             trend = (mid - prev_mid) / prev_mid if prev_mid > 0 else 0.0
             prev_mid = mid
-            out_streak = 0 if rec["in_band"] else out_streak + 1
-            p_ref = rec["p_ref"]
-            if out_streak >= config.failure.grace and config.failure.grace > 0:
+            out_streak = 0 if in_band else out_streak + 1
+            if out_streak >= grace and grace > 0:
                 failed = True
-            if config.failure.grace == 0 and not rec["in_band"]:
+            if grace == 0 and not in_band:
                 failed = True
-            if collateral_ratio(state, p_ref) < 1.0:
+            if collateral_ratio(c_total, s_a + s_o, p_ref) < 1.0:
                 failed = True
-            if min(state.alpha.price, state.omega.price) <= config.failure.floor * p_ref:
+            if min(p_a, p_o) <= floor * p_ref:
                 failed = True
-        trace.append(
-            t=state.time_step,
-            p_a=state.alpha.price,
-            p_omega=state.omega.price,
-            p_ref=rec["p_ref"],
-            band_lo=rec["band_lo"],
-            band_hi=rec["band_hi"],
-            supply_a=state.alpha.supply,
-            supply_omega=state.omega.supply,
-            c_total=state.c_total,
-            v1=state.crypto_value,
-            v2=state.rwa_value,
-            net_inflow=rec["net_inflow"],
-            fee_rate=state.fee_rate,
-            reward_rate=state.reward_rate,
-            var_rate=state.var_rate,
-            in_band=int(rec["in_band"]),
-            failed=int(failed),
+        record = (
+            t + 1, p_a, p_o, p_ref, lo, hi, s_a, s_o, c_total, cv, rv, net_inflow,
+            fee_rate, reward_rate, var_rate, int(in_band), int(failed),
         )
+        for append, value in zip(appends, record):
+            append(value)
         if not finite:
             trace.diverged = True
             break
@@ -634,20 +707,32 @@ def _summarize_one(args) -> PathSummary:
     return path_summary(simulate_path(config, idx), config, idx)
 
 
-def monte_carlo(config: ScenarioConfig, n_paths: int, workers: int = 1) -> EnsembleSummary:
+def _spawn_pool(workers: int):
+    import multiprocessing as mp
+
+    return mp.get_context("spawn").Pool(processes=workers)
+
+
+def monte_carlo(
+    config: ScenarioConfig, n_paths: int, workers: int = 1, pool=None
+) -> EnsembleSummary:
     """Aggregate independent paths 0..n-1 in deterministic index order.
 
     Results are bitwise identical for any worker count: each path derives
     its own counter-based stream and the reduction runs in index order.
+    With ``workers > 1`` the paths run on ``pool`` when one is given (it
+    stays open), otherwise on a spawn pool of their own.
     """
     if n_paths < 1:
         raise ConfigError("need at least one path")
     jobs = [(config, i) for i in range(n_paths)]
     if workers > 1 and n_paths > 1:
-        import multiprocessing as mp
-
-        with mp.get_context("spawn").Pool(processes=workers) as pool:
-            summaries = pool.map(_summarize_one, jobs, chunksize=max(n_paths // (4 * workers), 1))
+        chunksize = max(n_paths // (4 * workers), 1)
+        if pool is not None:
+            summaries = pool.map(_summarize_one, jobs, chunksize=chunksize)
+        else:
+            with _spawn_pool(workers) as own:
+                summaries = own.map(_summarize_one, jobs, chunksize=chunksize)
     else:
         summaries = [_summarize_one(j) for j in jobs]
     summaries.sort(key=lambda s: s.path_index)
@@ -666,7 +751,7 @@ def monte_carlo(config: ScenarioConfig, n_paths: int, workers: int = 1) -> Ensem
         mean_terminal_p_omega=float(np.mean([s.terminal_p_omega for s in summaries])),
         median_terminal_p_a=float(np.median([s.terminal_p_a for s in summaries])),
         median_terminal_p_omega=float(np.median([s.terminal_p_omega for s in summaries])),
-        terminal_p_ref=summaries[0].terminal_p_ref,
+        terminal_p_ref=reference_price(config.ref_policy, config.horizon),
         minted_notional=float(np.mean([s.peak_supply_value for s in summaries])),
         crypto_anchor=float(np.mean([s.terminal_crypto for s in summaries])),
         rwa_anchor=float(np.mean([s.terminal_rwa for s in summaries])),
@@ -721,17 +806,22 @@ def pareto_front(points: list[tuple[float, float, float]]) -> list[bool]:
 def frontier_sweep(
     base: ScenarioConfig, grid: dict[str, list], n_paths: int, workers: int = 1
 ) -> list[FrontierPoint]:
-    """Evaluate a parameter grid and mark the Pareto-optimal points."""
+    """Evaluate a parameter grid and mark the Pareto-optimal points.
+
+    With ``workers > 1`` every cell runs on one spawn pool, opened before
+    the first cell and closed after the last.
+    """
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ConfigError("sweep grid must be non-empty")
     keys = list(grid.keys())
     cells = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
-    results = []
-    for overrides in cells:
-        cfg = _apply_overrides(base, overrides)
-        summary = monte_carlo(cfg, n_paths, workers)
-        d = decentralization(cfg.governance)
-        results.append((overrides, d, summary.mean_efficiency, 1.0 - summary.p_fail))
+    configs = [_apply_overrides(base, overrides) for overrides in cells]
+    with _spawn_pool(workers) if workers > 1 and n_paths > 1 else contextlib.nullcontext() as pool:
+        summaries = [monte_carlo(cfg, n_paths, workers, pool) for cfg in configs]
+    results = [
+        (overrides, decentralization(cfg.governance), summary.mean_efficiency, 1.0 - summary.p_fail)
+        for overrides, cfg, summary in zip(cells, configs, summaries)
+    ]
     flags = pareto_front([(d, e, s) for _, d, e, s in results])
     return [
         FrontierPoint(overrides=o, d=d, e=e, s=s, pareto=f)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from janus_sim.controller import (
+    ControlAction,
     ControlError,
     ControllerParams,
     SolverError,
@@ -37,7 +38,7 @@ NEUTRAL = (0.05, 0.0, 0.001)
 class TestControlAction:
     def test_inside_band_is_exactly_zero(self):
         for price in (0.981, 1.0, 1.019):
-            assert control_action(price, 1.0, BAND, PARAMS, NEUTRAL).is_zero
+            assert control_action(price, 1.0, BAND, PARAMS, NEUTRAL) == ControlAction()
 
     def test_above_band_expands_supply(self):
         act = control_action(1.05, 1.0, BAND, PARAMS, NEUTRAL)
@@ -82,8 +83,6 @@ class TestApplyAction:
 
     def test_zero_leak_keeps_parameters(self):
         params = ControllerParams(leak=0.0, reward_neutral=0.02, reward_max=0.05)
-        from janus_sim.controller import ControlAction
-
         out = apply_action(params, (0.0, 0.03, 0.0), ControlAction())
         assert out[1] == pytest.approx(0.03)
 

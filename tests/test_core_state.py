@@ -1,6 +1,7 @@
 """State containers, band geometry, and the state/vector bijection."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,7 +103,7 @@ class TestVectorMapping:
         assert v.shape == (vector_dim(s),)
         s2 = from_vector(v, s)
         assert np.allclose(to_vector(s2), v)
-        assert not s2.clamped
+        assert s2 == s  # nothing to clamp
 
     def test_retired_slots_are_zero_and_ignored(self):
         s = make_state()
@@ -112,24 +113,26 @@ class TestVectorMapping:
         probed = v.copy()
         probed[-2:] = (-5.0, 7.0)
         s2 = from_vector(probed, s)
-        assert s2 == from_vector(v, s)
-        assert not s2.clamped
+        assert s2 == from_vector(v, s) == s  # the negative retired slot is not clamped into the state
 
-    def test_negative_monetary_entries_clamped_and_flagged(self):
+    def test_negative_monetary_entries_clamped(self):
         s = make_state()
         v = to_vector(s)
         v[1] = -5.0
+        v[4] = -1.0
         s2 = from_vector(v, s)
-        assert s2.clamped
         assert s2.alpha.supply == 0.0
+        assert s2.crypto_value == 0.0
+        assert s2.c_total == s2.rwa_value == 80.0
+        # every other entry is carried over unchanged
+        assert np.array_equal(np.delete(to_vector(s2), [1, 4]), np.delete(to_vector(s), [1, 4]))
 
     def test_negative_rates_pass_through(self):
         s = make_state()
         v = to_vector(s)
         v[7] = -0.01  # reward can be a buyback
         s2 = from_vector(v, s)
-        assert s2.reward_rate == -0.01
-        assert not s2.clamped
+        assert s2 == replace(s, reward_rate=-0.01)  # nothing clamped
 
     def test_wrong_length_rejected(self):
         s = make_state()

@@ -33,7 +33,8 @@ def make_trace(mid_prices, inflows):
         row = {c: 0.0 for c in TRACE_COLUMNS}
         row.update(t=t + 1, p_a=p, p_omega=p, p_ref=1.0, band_lo=0.98, band_hi=1.02,
                    net_inflow=f, in_band=1, failed=0)
-        trace.append(**row)
+        for c in TRACE_COLUMNS:
+            trace.columns[c].append(row[c])
     return trace
 
 

@@ -7,12 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from janus_sim.core_state import (
-    CollateralHolding,
-    GovernanceDistribution,
-    ProtocolState,
-    TokenState,
-)
 from janus_sim.market import AssetKind, AssetSpec, CorrelationMatrix
 from janus_sim.protocol import (
     MintPolicy,
@@ -29,25 +23,6 @@ from test_sim_engine import quiescent_config
 
 # (s_a, s_o, crypto, rwa) of a book at ratio 1.5 with both prices at 1
 BOOK = (1000.0, 1000.0, 1500.0, 1500.0)
-
-
-def make_state(alpha=(1.0, 1000.0), omega=(1.0, 1000.0), crypto=1500.0, rwa=1500.0):
-    return ProtocolState(
-        time_step=0,
-        alpha=TokenState(*alpha),
-        omega=TokenState(*omega),
-        collateral=(
-            CollateralHolding(asset_id=0, units=crypto, weight=0.5),
-            CollateralHolding(asset_id=1, units=rwa, weight=0.5),
-        ),
-        crypto_value=crypto,
-        rwa_value=rwa,
-        c_total=crypto + rwa,
-        fee_rate=0.0,
-        reward_rate=0.0,
-        var_rate=0.001,
-        governance=GovernanceDistribution((1.0,)),
-    )
 
 
 def do_mint(policy, value, prices=(1.0, 1.0), book=BOOK, crypto_share=0.5):
@@ -231,8 +206,11 @@ class TestLiquidation:
         assert book[1] == pytest.approx(1000.0)
 
     def test_ratio_infinite_without_supply(self):
-        s = make_state(alpha=(1.0, 0.0), omega=(1.0, 0.0))
-        assert math.isinf(collateral_ratio(s, 1.0))
+        assert math.isinf(collateral_ratio(3000.0, 0.0, 1.0))
+
+    def test_ratio_matches_book(self):
+        s_a, s_o, cv, rv = BOOK
+        assert collateral_ratio(cv + rv, s_a + s_o, 1.25) == ratio(BOOK, 1.25)
 
 
 class TestSkim:

@@ -7,9 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from janus_sim.config_io import load_preset
+import janus_sim.sim_engine as sim_engine
+from janus_sim.config_io import PRESET_NAMES, load_preset
 from janus_sim.controller import ControllerParams
-from janus_sim.core_state import GovernanceDistribution, PegBand, ReferencePricePolicy
+from janus_sim.core_state import (
+    GovernanceDistribution,
+    PegBand,
+    ReferencePricePolicy,
+    StateError,
+    reference_price,
+)
+from janus_sim.protocol import collateral_ratio
 from janus_sim.market import AssetKind, AssetSpec, CorrelationMatrix, DemandParams
 from janus_sim.protocol import MintPolicy
 from janus_sim.rng import path_generator, shock_block
@@ -279,6 +287,26 @@ class TestDivergence:
         # rules flag the rest from their first step
         assert monte_carlo(cfg, 10).failures == 10
 
+    def test_overdrawn_book_diverges(self):
+        # Without a liquidation penalty an undercollateralized book burns all
+        # supply and pays out all collateral; here rounding overdraws a book.
+        cfg = replace(
+            quiescent_config(),
+            assets=(
+                AssetSpec(id=0, kind=AssetKind.CRYPTO, drift=0.0, vol=0.0),
+                AssetSpec(id=1, kind=AssetKind.RWA, drift=0.0, vol=0.0),
+            ),
+            correlation=CorrelationMatrix.identity(2),
+            collateral_weights=(0.75, 0.25),
+            mint_policy=MintPolicy(min_collateral_ratio=1.1),
+            liq_penalty=0.0,
+            initial=InitialConditions(1.0, 623.3, 1.0, 742.0, 795.4),
+        )
+        with pytest.raises(StateError):
+            step_once(initial_state(cfg), cfg, np.zeros(shock_width(cfg)), 0.0, 0)
+        tr = simulate_path(cfg, 0)
+        assert tr.diverged and tr.columns["t"] == [1] and tr.columns["failed"] == [1]
+
     @settings(deadline=None, max_examples=25)
     @given(
         depth=st.floats(5.0, 500.0),
@@ -299,6 +327,113 @@ class TestDivergence:
             assert path_summary(tr, cfg, 0).failed
         if tr.diverged:
             assert tr.columns["failed"][-1] == 1
+
+
+def replay(cfg, path_index):
+    """Rebuild a path's trace columns by stepping ``step_once`` along its
+    shock rows with ``simulate_path``'s trend and failure rules.
+
+    Returns the columns and the step that raised (None if none did).
+    """
+    state = initial_state(cfg)
+    shocks = shock_block(cfg.seed, path_index, cfg.horizon, shock_width(cfg))
+    cols = {c: [] for c in TRACE_COLUMNS}
+    trend = 0.0
+    prev_mid = 0.5 * (state.alpha.price + state.omega.price)
+    out_streak = 0
+    failed = False
+    grace, floor = cfg.failure.grace, cfg.failure.floor
+    for t in range(cfg.horizon):
+        try:
+            state, rec = step_once(state, cfg, shocks[t], trend, t)
+        except (StateError, OverflowError):
+            return cols, t
+        mid = 0.5 * (state.alpha.price + state.omega.price)
+        finite = math.isfinite(mid) and math.isfinite(state.c_total)
+        if not finite:
+            failed = True
+        else:
+            trend = (mid - prev_mid) / prev_mid if prev_mid > 0 else 0.0
+            prev_mid = mid
+            out_streak = 0 if rec["in_band"] else out_streak + 1
+            failed = (
+                failed
+                or (grace > 0 and out_streak >= grace)
+                or (grace == 0 and not rec["in_band"])
+                or collateral_ratio(state.c_total, state.total_supply, rec["p_ref"]) < 1.0
+                or min(state.alpha.price, state.omega.price) <= floor * rec["p_ref"]
+            )
+        row = dict(
+            t=state.time_step, p_a=state.alpha.price, p_omega=state.omega.price,
+            p_ref=rec["p_ref"], band_lo=rec["band_lo"], band_hi=rec["band_hi"],
+            supply_a=state.alpha.supply, supply_omega=state.omega.supply,
+            c_total=state.c_total, v1=state.crypto_value, v2=state.rwa_value,
+            net_inflow=rec["net_inflow"], fee_rate=state.fee_rate,
+            reward_rate=state.reward_rate, var_rate=state.var_rate,
+            in_band=int(rec["in_band"]), failed=int(failed),
+        )
+        for c in TRACE_COLUMNS:
+            cols[c].append(row[c])
+        if not finite:
+            break
+    return cols, None
+
+
+def exact(columns):
+    """Columns as reprs: equal only for the same floats (NaN included)."""
+    return {c: [repr(v) for v in vals] for c, vals in columns.items()}
+
+
+STRESSES = {
+    StressKind.CRYPTO_CRASH: 0.5,
+    StressKind.RWA_SHORTFALL: 0.8,
+    StressKind.DEMAND_COLLAPSE: 0.9,
+}
+
+REPLAY_CASES = [(name, None) for name in PRESET_NAMES] + [
+    (name, kind) for name in PRESET_NAMES for kind in STRESSES
+]
+
+
+class TestOneCore:
+    """``simulate_path`` and ``step_once`` are two entry points to one step."""
+
+    @pytest.mark.parametrize("name,kind", REPLAY_CASES)
+    def test_replay_matches_presets(self, name, kind):
+        cfg = load_preset(name)
+        if kind is not None:
+            cfg = replace(cfg, stress=StressOverlay(kind, onset=60, magnitude=STRESSES[kind], duration=40))
+        for i in range(2):
+            cols, raised = replay(cfg, i)
+            assert raised is None
+            assert exact(cols) == exact(simulate_path(cfg, i).columns)
+
+    def test_replay_matches_omega_senior_crash(self):
+        base = load_preset("janus_baseline")
+        cfg = replace(
+            base,
+            omega_senior=True,
+            stress=StressOverlay(StressKind.CRYPTO_CRASH, onset=40, magnitude=0.7, duration=30),
+        )
+        for i in range(3):
+            cols, raised = replay(cfg, i)
+            assert raised is None
+            assert exact(cols) == exact(simulate_path(cfg, i).columns)
+
+    def test_replay_raises_where_diverged_path_ends(self):
+        cfg = diverging_config()
+        raised_any = False
+        for i in range(10):
+            tr = simulate_path(cfg, i)
+            cols, raised = replay(cfg, i)
+            if raised is None:
+                assert exact(cols) == exact(tr.columns)
+            else:
+                raised_any = True
+                # the trace ends with the terminal record of the step that raised
+                assert tr.diverged and raised == len(tr) - 1
+                assert exact(cols) == {c: v[:-1] for c, v in exact(tr.columns).items()}
+        assert raised_any
 
 
 class TestStress:
@@ -374,6 +509,17 @@ class TestMonteCarlo:
         with pytest.raises(ConfigError):
             monte_carlo(small_config(), 0)
 
+    def test_terminal_p_ref_is_reference_at_horizon(self):
+        cfg = diverging_config(seed=1)
+        tr = simulate_path(cfg, 0)
+        assert tr.diverged and len(tr) < cfg.horizon  # path 0 stops early
+        s = monte_carlo(cfg, 3)
+        assert s.terminal_p_ref == reference_price(cfg.ref_policy, cfg.horizon)
+        assert s.terminal_p_ref != tr.columns["p_ref"][-1]
+        # a full-length path 0 ends at the same reference, bit for bit
+        full = small_config(horizon=40)
+        assert monte_carlo(full, 2).terminal_p_ref == simulate_path(full, 0).columns["p_ref"][-1]
+
 
 class TestPareto:
     def test_single_point_is_optimal(self):
@@ -408,6 +554,20 @@ class TestFrontier:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ConfigError):
             frontier_sweep(small_config(), {"nonsense": [1]}, 2)
+
+    def test_one_pool_gives_serial_points(self, monkeypatch):
+        cfg = small_config(horizon=30)
+        grid = {"epsilon": [0.01, 0.03], "min_collateral_ratio": [1.4, 1.6]}
+        opened = []
+        spawn_pool = sim_engine._spawn_pool
+
+        def counting_pool(workers):
+            opened.append(workers)
+            return spawn_pool(workers)
+
+        monkeypatch.setattr(sim_engine, "_spawn_pool", counting_pool)
+        assert frontier_sweep(cfg, grid, 4, workers=2) == frontier_sweep(cfg, grid, 4, workers=1)
+        assert opened == [2]  # one pool for the whole sweep
 
     def test_theta_override(self):
         cfg = small_config(horizon=30)
