@@ -8,18 +8,22 @@ is recorded in traces and the state vector but drives no other quantity.
 
 The same module hosts the damped fixed-point solver, finite-difference
 Jacobian, and spectral radius used to classify local stability of the
-one-step map.
+one-step map.  The map, ``step_map``, takes a state vector (the layout of
+``core_state``) and returns the successor vector: one step of the engine's
+core, ``sim_engine._advance``, with zero shocks, zero trend and the clock
+frozen at t = 0, run on the vector's floats without building a state.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .core_state import PegBand
+from .core_state import HEADER_DIM, PegBand, pack_vector, reference_price, split_vector
 
 
 class ControlError(ValueError):
@@ -151,23 +155,39 @@ def apply_action(
     return fee, reward, rate
 
 
-def step_map(state, config, shocks=None):
-    """One deterministic transition of the full system (the solver's map).
-
-    Shocks default to zero (the deterministic skeleton); the reference price
-    and trend are frozen so the map is autonomous.  Imported lazily to keep
-    the engine dependency one-directional.
-    """
+@functools.lru_cache(maxsize=64)
+def _map_constants(config):
+    """What the step map needs of a config, computed once per config: the
+    engine's core and units helper, the config's tables, the zero shock row,
+    the frozen reference price and the number of holdings.  Imported lazily
+    to keep the engine dependency one-directional."""
     from . import sim_engine
 
-    return sim_engine.step_once(
-        state,
-        config,
-        shocks if shocks is not None else np.zeros(sim_engine.shock_width(config)),
-        trend=0.0,
-        t=0,
-        frozen_time=True,
-    )[0]
+    return (
+        sim_engine._advance,
+        sim_engine.holding_units,
+        sim_engine._config_tables(config),
+        (0.0,) * sim_engine.shock_width(config),
+        reference_price(config.ref_policy, 0),
+        len(config.assets),
+    )
+
+
+def step_map(x, config) -> np.ndarray:
+    """One deterministic transition of the full system on the state vector
+    (the solver's map): vector in, successor vector out.
+
+    ``x`` is read under ``core_state``'s clamp rule; its holding units and
+    retired slots do not enter the step.  The step has zero shocks, zero
+    trend and a frozen clock (the stress clock at t = 0, the reference price
+    at ``reference_price(ref_policy, 0)``), so the map is autonomous.  The
+    successor holds the 9 header entries, the holding units derived from the
+    class books and the two retired zeros.
+    """
+    advance, units_of, tables, row, p_ref, n_holdings = _map_constants(config)
+    head, _ = split_vector(x, n_holdings)
+    out = advance(config, tables, row, 0.0, 0, p_ref, *head)
+    return pack_vector(out[:HEADER_DIM], units_of(config, tables, out[4], out[5]))
 
 
 def find_fixed_point(
@@ -181,22 +201,33 @@ def find_fixed_point(
 
     Converged when the max-norm residual ||F(x) - x|| drops below tol.
     Raises on non-finite iterates; otherwise reports the last iterate.
+    ``F`` maps a 1-D float array to a vector of the same length; the
+    iteration itself runs on Python floats, entry by entry with the same
+    expressions as the array form, so the iterates are the same bits.
     """
     if not (0.0 < damping <= 1.0):
         raise ControlError("damping must lie in (0, 1]")
     if tol <= 0:
         raise ControlError("tolerance must be positive")
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
+    if x.ndim != 1:
+        raise ControlError("the start point must be a 1-D vector")
+    shape = x.shape
+    x = x.tolist()
+    keep = 1.0 - damping
     residual = math.inf
     for i in range(1, max_iter + 1):
-        fx = np.asarray(F(x), dtype=float)
-        if not np.all(np.isfinite(fx)):
+        fx_array = np.asarray(F(np.array(x)), dtype=float)
+        if fx_array.shape != shape:
+            raise ControlError(f"the map returned shape {fx_array.shape}, expected {shape}")
+        fx = fx_array.tolist()
+        if not all(map(math.isfinite, fx)):
             raise SolverError(f"non-finite iterate at iteration {i}")
-        residual = float(np.max(np.abs(fx - x)))
+        residual = float(max([abs(f - xi) for f, xi in zip(fx, x)]))
         if residual <= tol:
-            return EquilibriumReport(x_star=fx, residual=residual, iterations=i, converged=True)
-        x = (1.0 - damping) * x + damping * fx
-    return EquilibriumReport(x_star=x, residual=residual, iterations=max_iter, converged=False)
+            return EquilibriumReport(x_star=fx_array, residual=residual, iterations=i, converged=True)
+        x = [keep * xi + damping * f for xi, f in zip(x, fx)]
+    return EquilibriumReport(x_star=np.array(x), residual=residual, iterations=max_iter, converged=False)
 
 
 def jacobian_fd(F, x_star: np.ndarray, h: float = 1e-6) -> np.ndarray:

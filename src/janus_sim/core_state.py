@@ -1,8 +1,11 @@
-"""Protocol state containers and the state <-> vector mapping used by the
-equilibrium solver.
+"""Protocol state containers and the state vector of the equilibrium solver.
 
-The vector layout is frozen here and nowhere else.  Order (for k collateral
-holdings):
+The vector layout and its clamp rule are written here and nowhere else:
+``split_vector`` reads a vector under the clamp rule and ``pack_vector``
+writes one.  ``from_vector``/``to_vector`` use them to convert between a
+vector and a ``ProtocolState``; ``controller.step_map``, the solver's map,
+uses them on the vector's floats directly and builds no state.  Order (for k
+collateral holdings):
 
     0            alpha price
     1            alpha supply
@@ -18,7 +21,13 @@ holdings):
 
 ``c_total`` is derived (crypto + RWA value) and is not a vector coordinate.
 The retired slots keep the length of the equilibrium output's ``x_star``:
-``to_vector`` writes 0 there and ``from_vector`` ignores them.
+``pack_vector`` writes 0 there and ``split_vector`` ignores them.
+
+Clamp rule: the solver may probe negative space, so the monetary entries
+(prices, supplies, collateral values, units) are floored at +0.0 (``-0.0``
+becomes ``0.0``; NaN passes through, as with ``np.maximum``).  The rates
+(indices 6..8) may legitimately go negative (buyback-side reward) and are
+kept as they are.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ GOV_WEIGHT_TOL = 1e-9
 C_TOTAL_REL_TOL = 1e-6
 
 HEADER_DIM = 9  # entries before the per-holding units block
+RETIRED_DIM = 2  # retired zeros after the units block
 
 
 class StateError(ValueError):
@@ -176,12 +186,35 @@ def band_bounds(p_ref: float, band: PegBand) -> tuple[float, float]:
 
 
 def vector_dim(state: ProtocolState) -> int:
-    return HEADER_DIM + len(state.collateral) + 2
+    return HEADER_DIM + len(state.collateral) + RETIRED_DIM
+
+
+def split_vector(v, n_holdings: int) -> tuple[list[float], list[float]]:
+    """(head, units) of a state vector for ``n_holdings`` holdings, as
+    floats under the clamp rule; the retired slots are dropped.
+
+    ``head`` holds the 9 header entries, ``units`` the holding units.
+    """
+    a = np.asarray(v, dtype=float)
+    dim = HEADER_DIM + n_holdings + RETIRED_DIM
+    if a.shape != (dim,):
+        raise StateError(f"state vector has length {a.shape}, expected ({dim},)")
+    vals = a.tolist()
+    # ``0.0 if x <= 0.0 else x`` is np.maximum(x, 0.0) on one float:
+    # Python's max(-0.0, 0.0) would keep the -0.0.
+    head = [0.0 if x <= 0.0 else x for x in vals[:6]] + vals[6:HEADER_DIM]
+    units = [0.0 if x <= 0.0 else x for x in vals[HEADER_DIM:-RETIRED_DIM]]
+    return head, units
+
+
+def pack_vector(head, units) -> np.ndarray:
+    """The state vector of the 9 header entries and the holding units."""
+    return np.array([*head, *units, *(0.0,) * RETIRED_DIM])
 
 
 def to_vector(state: ProtocolState) -> np.ndarray:
     """Flatten the numeric sub-state in the documented order."""
-    head = [
+    head = (
         state.alpha.price,
         state.alpha.supply,
         state.omega.price,
@@ -191,41 +224,25 @@ def to_vector(state: ProtocolState) -> np.ndarray:
         state.fee_rate,
         state.reward_rate,
         state.var_rate,
-    ]
-    units = [h.units for h in state.collateral]
-    return np.array(head + units + [0.0, 0.0])
+    )
+    return pack_vector(head, [h.units for h in state.collateral])
 
 
 def from_vector(v: np.ndarray, template: ProtocolState) -> ProtocolState:
-    """Rebuild a state from a vector, taking non-numeric fields from template.
-
-    Negative monetary entries (the solver may probe negative space) are
-    clamped to zero; the two retired slots are ignored.
-    """
-    v = np.asarray(v, dtype=float)
-    dim = vector_dim(template)
-    if v.shape != (dim,):
-        raise StateError(f"state vector has length {v.shape}, expected ({dim},)")
-    v = v[:-2]
-    # Rates (indices 6..8) may legitimately go negative (buyback-side reward);
-    # only monetary quantities are clamped.
-    monetary = np.ones(dim - 2, dtype=bool)
-    monetary[6:9] = False
-    v = np.where(monetary, np.maximum(v, 0.0), v)
-    holdings = tuple(
-        replace(h, units=float(v[HEADER_DIM + i]))
-        for i, h in enumerate(template.collateral)
-    )
-    crypto, rwa = float(v[4]), float(v[5])
+    """Rebuild a state from a vector under the clamp rule, taking the
+    non-numeric fields from template."""
+    head, units = split_vector(v, len(template.collateral))
+    p_a, s_a, p_o, s_o, crypto, rwa, fee, reward, var = head
+    holdings = tuple(replace(h, units=u) for h, u in zip(template.collateral, units))
     return replace(
         template,
-        alpha=TokenState(price=float(v[0]), supply=float(v[1])),
-        omega=TokenState(price=float(v[2]), supply=float(v[3])),
+        alpha=TokenState(price=p_a, supply=s_a),
+        omega=TokenState(price=p_o, supply=s_o),
         collateral=holdings,
         crypto_value=crypto,
         rwa_value=rwa,
         c_total=crypto + rwa,
-        fee_rate=float(v[6]),
-        reward_rate=float(v[7]),
-        var_rate=float(v[8]),
+        fee_rate=fee,
+        reward_rate=reward,
+        var_rate=var,
     )

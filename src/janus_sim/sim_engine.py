@@ -15,13 +15,15 @@ One step executes a frozen sub-step order:
 Sub-steps 2-7 are written once, in ``_advance``: a core that takes and
 returns the step's numbers as plain floats (prices, supplies, the two
 collateral books, the three controller rates) and calls the mechanic
-functions of ``market``, ``protocol`` and ``controller``.  It has two entry
-points.  ``simulate_path`` keeps a path's floats in locals, runs the core
+functions of ``market``, ``protocol`` and ``controller``.  It has three
+callers.  ``simulate_path`` keeps a path's floats in locals, runs the core
 on them step by step and appends each record straight to the trace
-columns, building no state object inside its loop.  ``step_once`` is the
-state-level wrapper used by the equilibrium solver's ``step_map``: it
+columns, building no state object inside its loop.  The equilibrium
+solver's ``controller.step_map`` runs the core on the floats of a state
+vector.  ``step_once`` is a state-level wrapper for single transitions: it
 unpacks a ``ProtocolState``, calls the core and packs the successor state
-and the step's record.  Both give the same floats for the same inputs.
+and the step's record.  All three give the same floats for the same inputs,
+and all take the holding units from ``holding_units``.
 
 Demand routing: the structural base inflow enters through genesis minting
 (new holders mint at the protocol, no order-book impact), while the
@@ -180,8 +182,9 @@ class ScenarioConfig:
         cholesky_factor(self.correlation)  # PSD gate at construction
 
     def __hash__(self):
-        # Deep-frozen, so the field hash is memoized; step_once hashes the
-        # config on every table lookup.
+        # Deep-frozen, so the field hash is memoized; the per-config caches
+        # (``_config_tables``, the step map's constants) hash the config on
+        # every lookup.
         cached = self.__dict__.get("_hash")
         if cached is None:
             cached = hash(tuple(self.__dict__[f] for f in self.__dataclass_fields__))
@@ -295,14 +298,18 @@ def _reference_track(config: ScenarioConfig):
     return p_refs, tuple(lo for lo, _ in bounds), tuple(hi for _, hi in bounds)
 
 
-def _holding_units(
-    cv: float, rv: float, weight: float, is_crypto: bool, wc: float, wr: float
-) -> float:
-    """Units of a holding: its ``weight`` share of its class book, with
-    ``wc``/``wr`` the total crypto/RWA weight."""
-    if is_crypto:
-        return cv * weight / wc if wc > 0 else 0.0
-    return rv * weight / wr if wr > 0 else 0.0
+def holding_units(config: ScenarioConfig, tables: tuple, cv: float, rv: float) -> list[float]:
+    """Units of each holding, in ``config.assets`` order (the holding order
+    of ``initial_state``): its weight's share of its own class book.
+
+    Positional: an asset's id need not equal its position in
+    ``config.assets``.  ``tables`` is ``_config_tables(config)``.
+    """
+    _, _, _, crypto_mask, wc, wr, _ = tables
+    return [
+        (cv * w / wc if wc > 0 else 0.0) if is_crypto else (rv * w / wr if wr > 0 else 0.0)
+        for w, is_crypto in zip(config.collateral_weights, crypto_mask)
+    ]
 
 
 def _advance(
@@ -331,7 +338,7 @@ def _advance(
     Raises OverflowError when a price blows up and StateError when rounding
     overdraws a collateral book.
     """
-    L, drift, sigma, crypto_mask, wc, wr, rwa_rate = tables
+    L, drift, sigma, crypto_mask, wc, _, rwa_rate = tables
     n = len(drift)
     eta = row[n]
 
@@ -435,10 +442,7 @@ def _advance(
 
     # A payout that empties the books can overdraw one by rounding; the
     # holdings it leaves would be negative.
-    if (cv < 0.0 or rv < 0.0) and any(
-        _holding_units(cv, rv, w, c, wc, wr) < 0
-        for w, c in zip(config.collateral_weights, crypto_mask)
-    ):
+    if (cv < 0.0 or rv < 0.0) and any(u < 0 for u in holding_units(config, tables, cv, rv)):
         raise StateError("collateral units must be non-negative")
 
     return (
@@ -460,8 +464,9 @@ def step_once(
     Unpacks ``state`` into ``_advance`` and packs its floats into the
     successor state and the step's record (``p_ref``, ``band_lo``,
     ``band_hi``, ``net_inflow``, ``in_band``).  With ``frozen_time`` the
-    reference price and stress clock stay at step zero, making the map
-    autonomous for the equilibrium solver.
+    reference price and stress clock stay at step zero, as in the
+    equilibrium solver's ``controller.step_map``.  ``state.collateral`` is
+    in ``config.assets`` order, as ``initial_state`` builds it.
     """
     t_next = state.time_step if frozen_time else state.time_step + 1
     p_ref = reference_price(config.ref_policy, 0 if frozen_time else t_next)
@@ -486,14 +491,9 @@ def step_once(
 
     # Holdings are bookkeeping derived from the class values; resync so the
     # units coordinates never act as free integrators in the step map.
-    _, _, _, crypto_mask, wc, wr, _ = tables
     holdings = tuple(
-        CollateralHolding(
-            asset_id=h.asset_id,
-            units=_holding_units(cv, rv, h.weight, crypto_mask[h.asset_id], wc, wr),
-            weight=h.weight,
-        )
-        for h in state.collateral
+        CollateralHolding(asset_id=h.asset_id, units=u, weight=h.weight)
+        for h, u in zip(state.collateral, holding_units(config, tables, cv, rv))
     )
     state = replace(
         state,

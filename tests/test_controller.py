@@ -10,6 +10,7 @@ from janus_sim.controller import (
     ControlAction,
     ControlError,
     ControllerParams,
+    EquilibriumReport,
     SolverError,
     Stability,
     apply_action,
@@ -118,6 +119,74 @@ class TestFixedPoint:
     def test_bad_damping_rejected(self):
         with pytest.raises(ControlError):
             find_fixed_point(lambda x: x, np.zeros(1), damping=0.0)
+
+    def test_rejects_a_map_that_changes_the_length(self):
+        with pytest.raises(ControlError):
+            find_fixed_point(lambda x: np.append(x, 0.0), np.zeros(2))
+
+
+def numpy_fixed_point(F, x0, damping=0.5, tol=1e-10, max_iter=10000):
+    """The damped iteration on arrays, as ``find_fixed_point`` ran it before
+    its loop moved to Python floats: the oracle for the float loop."""
+    x = np.asarray(x0, dtype=float).copy()
+    residual = math.inf
+    for i in range(1, max_iter + 1):
+        fx = np.asarray(F(x), dtype=float)
+        if not np.all(np.isfinite(fx)):
+            raise SolverError(f"non-finite iterate at iteration {i}")
+        residual = float(np.max(np.abs(fx - x)))
+        if residual <= tol:
+            return EquilibriumReport(x_star=fx, residual=residual, iterations=i, converged=True)
+        x = (1.0 - damping) * x + damping * fx
+    return EquilibriumReport(x_star=x, residual=residual, iterations=max_iter, converged=False)
+
+
+class TestFixedPointOracle:
+    """The float loop gives the array loop's bits: same iterates, same
+    residual, same iteration count, same failure."""
+
+    @staticmethod
+    def same(F, x0, **kw):
+        def run(solver):
+            try:
+                rep = solver(F, x0, **kw)
+            except SolverError as exc:
+                return str(exc)
+            return (rep.x_star.tobytes(), repr(rep.residual), rep.iterations, rep.converged)
+
+        got, want = run(find_fixed_point), run(numpy_fixed_point)
+        assert got == want
+
+    def test_affine_contractions(self):
+        rng = np.random.default_rng(77)
+        for _ in range(200):
+            n = int(rng.integers(1, 14))
+            A = rng.standard_normal((n, n))
+            A *= rng.random() / max(np.linalg.norm(A, 2), 1e-12)
+            b = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+            x0 = rng.standard_normal(n) * (rng.random(n) < 0.7)
+            damping = float(rng.choice([0.5, 1.0, rng.uniform(0.05, 1.0)]))
+            tol = float(rng.choice([1e-10, 1e-12, 1e-6]))
+            self.same(lambda x, A=A, b=b: A @ x + b, x0, damping=damping, tol=tol)
+
+    def test_cut_short_before_convergence(self):
+        rng = np.random.default_rng(78)
+        for _ in range(50):
+            n = int(rng.integers(1, 14))
+            A = 0.95 * np.diag(rng.uniform(-1.0, 1.0, n))
+            b = rng.standard_normal(n)
+            max_iter = int(rng.integers(0, 40))
+            self.same(lambda x, A=A, b=b: A @ x + b, -np.zeros(n), damping=0.3, max_iter=max_iter)
+
+    def test_nonconvergent(self):
+        self.same(lambda x: 2.0 * x + 1.0, np.array([1.0]), damping=0.1, max_iter=50)
+        self.same(lambda x: -x + np.array([1.0, -2.0]), np.array([0.0, 3.0]), damping=1.0, max_iter=30)
+
+    def test_nonfinite(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.same(lambda x: x * 1e300, np.array([1.0]), max_iter=10)
+            self.same(lambda x: x * 1e300, np.array([1.0, 2.0]), damping=0.2, max_iter=10)
+            self.same(lambda x: np.where(x > 0.4, np.nan, x + 0.3), np.zeros(3), damping=1.0)
 
 
 class TestJacobian:

@@ -18,6 +18,7 @@ from janus_sim.core_state import (
     decentralization,
     from_vector,
     reference_price,
+    split_vector,
     to_vector,
     vector_dim,
 )
@@ -133,6 +134,15 @@ class TestVectorMapping:
         v[7] = -0.01  # reward can be a buyback
         s2 = from_vector(v, s)
         assert s2 == replace(s, reward_rate=-0.01)  # nothing clamped
+
+    def test_clamp_matches_numpy_maximum(self):
+        # -0.0 becomes +0.0 (as np.maximum gives; Python's max would keep
+        # -0.0), NaN passes through; rates keep their sign, zero or not
+        v = np.array([-0.0, np.nan, 2.0, -3.0, -0.0, 1.0, -0.0, -0.5, 0.25, -0.0, 4.0, 0.0, 0.0])
+        head, units = split_vector(v, 2)
+        expected = np.where(np.arange(11) // 3 == 2, v[:11], np.maximum(v[:11], 0.0))
+        assert [repr(x) for x in head + units] == [repr(float(x)) for x in expected]
+        assert repr(head[0]) == "0.0" and repr(head[6]) == "-0.0"
 
     def test_wrong_length_rejected(self):
         s = make_state()

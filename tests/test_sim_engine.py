@@ -1,5 +1,6 @@
 """Path engine, shock streams, failure logic, ensembles, and sweeps."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import janus_sim.sim_engine as sim_engine
-from janus_sim.config_io import PRESET_NAMES, load_preset
+from janus_sim.config_io import PRESET_NAMES, config_from_dict, config_to_dict, load_preset
 from janus_sim.controller import ControllerParams
 from janus_sim.core_state import (
     GovernanceDistribution,
@@ -154,6 +155,54 @@ class TestConfigValidation:
                     AssetSpec(id=1, kind=AssetKind.RWA, drift=0.0, vol=0.01),
                 )
             )
+
+
+def reversed_ids_config():
+    """janus_baseline with its two asset ids swapped: the crypto asset,
+    listed first, has id 1."""
+    data = config_to_dict(load_preset("janus_baseline"))
+    for asset in data["assets"]:
+        asset["id"] = len(data["assets"]) - 1 - asset["id"]
+    return config_from_dict(data)
+
+
+def class_book_shares(cfg, cv, rv):
+    """Each holding's weight share of its own class book, in asset order."""
+    crypto = [s.kind is AssetKind.CRYPTO for s in cfg.assets]
+    wc = sum(w for w, c in zip(cfg.collateral_weights, crypto) if c)
+    return [
+        cv * w / wc if c else rv * w / (1.0 - wc)
+        for w, c in zip(cfg.collateral_weights, crypto)
+    ]
+
+
+class TestHoldingUnits:
+    """Holding units come from the holding's own class book when asset ids
+    are not in list order."""
+
+    def test_step_once(self):
+        cfg = reversed_ids_config()
+        assert [s.id for s in cfg.assets] == [1, 0]
+        shocks = shock_block(cfg.seed, 0, cfg.horizon, shock_width(cfg))
+        s1, _ = step_once(initial_state(cfg), cfg, shocks[0], 0.0, 0)
+        assert s1.crypto_value != pytest.approx(s1.rwa_value)
+        assert [h.asset_id for h in s1.collateral] == [1, 0]
+        units = [h.units for h in s1.collateral]
+        assert units == pytest.approx(class_book_shares(cfg, s1.crypto_value, s1.rwa_value), rel=1e-12)
+
+    def test_equilibrium(self, tmp_path):
+        from janus_sim.cli import main
+
+        cfg = reversed_ids_config()
+        path = tmp_path / "reversed.json"
+        path.write_text(json.dumps(config_to_dict(cfg)))
+        assert main(["equilibrium", "--config", str(path), "--out", str(tmp_path / "r")]) == 0
+        assert main(["equilibrium", "--preset", "janus_baseline", "--out", str(tmp_path / "b")]) == 0
+        x = json.loads((tmp_path / "r" / "equilibrium.json").read_text())["x_star"]
+        assert x[4] != pytest.approx(x[5])
+        assert x[9:11] == pytest.approx(class_book_shares(cfg, x[4], x[5]), rel=1e-12)
+        # asset ids are labels: the solve is the preset's
+        assert x == json.loads((tmp_path / "b" / "equilibrium.json").read_text())["x_star"]
 
 
 class TestStepOnce:
