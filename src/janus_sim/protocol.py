@@ -80,7 +80,8 @@ def redeem(
 
     The payout is capped at the collateral held; when it cannot cover the
     request, only the covered fraction of tokens is burned (nobody redeems
-    for nothing).  Both books pay pro rata, so neither goes negative.
+    for nothing).  Both books pay pro rata; a book that rounding would
+    overdraw when the payout takes everything is left empty instead.
     """
     if a_red < 0 or o_red < 0:
         raise ProtocolError("redemption amounts must be non-negative")
@@ -99,6 +100,8 @@ def redeem(
         take = min(payout, total)
         cv -= take * (cv / total)
         rv -= take * (rv / total)
+        if cv < 0.0 or rv < 0.0:  # rounding overdrew a book the payout empties
+            cv, rv = max(cv, 0.0), max(rv, 0.0)
     return s_a, s_o, cv, rv
 
 
@@ -130,8 +133,9 @@ def liquidate(
     backing ratio (less the penalty, which is destroyed), so each unit of
     burned supply raises the ratio.  With ``omega_senior`` Alpha is burned
     first and Omega only once Alpha is exhausted; otherwise both pro rata.
-    A no-op without supply or when already at the minimum; idempotent.
-    Returns (s_a, s_o, cv, rv).
+    The released collateral leaves both books pro rata; a book that rounding
+    would overdraw is left empty instead.  A no-op without supply or when
+    already at the minimum; idempotent.  Returns (s_a, s_o, cv, rv).
     """
     supply_value = (s_a + s_o) * p_ref
     ratio = (cv + rv) / supply_value if supply_value > 0 else math.inf
@@ -157,6 +161,8 @@ def liquidate(
     if total > 0:
         cv -= take * (cv / total)
         rv -= take * (rv / total)
+        if cv < 0.0 or rv < 0.0:  # rounding overdrew a book the payout empties
+            cv, rv = max(cv, 0.0), max(rv, 0.0)
     return s_a, s_o, cv, rv
 
 

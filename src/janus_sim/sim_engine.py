@@ -22,8 +22,8 @@ columns, building no state object inside its loop.  The equilibrium
 solver's ``controller.step_map`` runs the core on the floats of a state
 vector.  ``step_once`` is a state-level wrapper for single transitions: it
 unpacks a ``ProtocolState``, calls the core and packs the successor state
-and the step's record.  All three give the same floats for the same inputs,
-and all take the holding units from ``holding_units``.
+and the step's record.  All three give the same floats for the same inputs;
+the two that report holdings take the units from ``holding_units``.
 
 Demand routing: the structural base inflow enters through genesis minting
 (new holders mint at the protocol, no order-book impact), while the
@@ -53,7 +53,6 @@ from .core_state import (
     PegBand,
     ProtocolState,
     ReferencePricePolicy,
-    StateError,
     TokenState,
     band_bounds,
     decentralization,
@@ -335,8 +334,7 @@ def _advance(
     ``t`` the stress clock and ``p_ref`` the reference price after the step.
     Returns (p_a, s_a, p_o, s_o, crypto_value, rwa_value, fee_rate,
     reward_rate, var_rate, net_inflow), supplies and books floored at zero.
-    Raises OverflowError when a price blows up and StateError when rounding
-    overdraws a collateral book.
+    Raises OverflowError when a price blows up.
     """
     L, drift, sigma, crypto_mask, wc, _, rwa_rate = tables
     n = len(drift)
@@ -440,11 +438,6 @@ def _advance(
         action = NO_ACTION
     fee_rate, reward_rate, var_rate = apply_action(config.controller, current, action)
 
-    # A payout that empties the books can overdraw one by rounding; the
-    # holdings it leaves would be negative.
-    if (cv < 0.0 or rv < 0.0) and any(u < 0 for u in holding_units(config, tables, cv, rv)):
-        raise StateError("collateral units must be non-negative")
-
     return (
         p_a, max(s_a, 0.0), p_o, max(s_o, 0.0), max(cv, 0.0), max(rv, 0.0),
         fee_rate, reward_rate, var_rate, net_inflow,
@@ -524,12 +517,11 @@ def simulate_path(config: ScenarioConfig, path_index: int) -> SimTrace:
     """Run one deterministic path; identical inputs give identical traces.
 
     The path's floats go through ``_advance`` step by step and each record
-    is appended straight to the trace's columns.  A step that raises
-    (overflow, an invalid state) or leaves a non-finite price or collateral
-    value stops the path: its last record is flagged failed and
-    ``diverged`` is set.  A step that raises leaves no state to record, so
-    the path ends with a terminal record for the next step with zero
-    prices, supplies and collateral.
+    is appended straight to the trace's columns.  A step that overflows or
+    leaves a non-finite price or collateral value stops the path: its last
+    record is flagged failed and ``diverged`` is set.  A step that overflows
+    leaves no state to record, so the path ends with a terminal record for
+    the next step with zero prices, supplies and collateral.
     """
     state = initial_state(config)
     rows = shock_block(config.seed, path_index, config.horizon, shock_width(config)).tolist()
@@ -559,7 +551,7 @@ def simulate_path(config: ScenarioConfig, path_index: int) -> SimTrace:
                 config, tables, rows[t], trend, t, p_ref,
                 p_a, s_a, p_o, s_o, cv, rv, fee_rate, reward_rate, var_rate,
             )
-        except (StateError, OverflowError):
+        except OverflowError:
             # the step blew up: end the path with a flagged terminal record
             record = (t + 1, 0.0, 0.0, p_ref, lo, hi) + (0.0,) * 9 + (0, 1)
             for append, value in zip(appends, record):

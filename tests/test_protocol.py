@@ -105,6 +105,32 @@ class TestRedeem:
         assert payout == 0.0
         assert book == BOOK
 
+    def test_full_payout_empties_books_exactly(self):
+        # 836.6 / 1313.5 of 1313.5 rounds to more than 836.6: unfloored, the
+        # crypto book would end at -1.1e-13
+        cv, rv = 836.6, 476.9
+        assert cv - (cv + rv) * (cv / (cv + rv)) < 0.0
+        book, _ = do_redeem(MintPolicy(1.0), 1000.0, 1000.0, book=(1000.0, 1000.0, cv, rv))
+        assert book[2:] == (0.0, 0.0)
+
+    @given(st.floats(0.0, 1e6), st.floats(0.0, 1e6), st.floats(0.0, 1.0))
+    def test_payout_never_overdraws_and_keeps_unfloored_bits(self, cv, rv, share):
+        # Redeeming ``share`` of the supply at a price that more than covers
+        # the book takes the whole book; a smaller price takes part of it.
+        total = cv + rv
+        if total <= 0.0:
+            return
+        policy = MintPolicy(1.0)
+        amount = 1000.0 * share
+        for price in (1e9, total / 2000.0):
+            book = redeem(policy, amount, amount, price, price, 1000.0, 1000.0, cv, rv)
+            # redeem's own arithmetic for the collateral it pays out
+            take = min((amount * price + amount * price) * (1.0 - policy.redeem_fee), total)
+            assert book[2] >= 0.0 and book[3] >= 0.0
+            for got, held in zip(book[2:], (cv, rv)):
+                unfloored = held - take * (held / total)
+                assert got == (unfloored if unfloored >= 0.0 else 0.0)
+
     @given(st.floats(0.0, 0.2), st.floats(1.0, 3.0), st.floats(1.0, 500.0))
     def test_mint_redeem_never_profitable(self, fee, ratio, amount):
         policy = MintPolicy(min_collateral_ratio=ratio, mint_fee=fee, redeem_fee=fee)
@@ -204,6 +230,13 @@ class TestLiquidation:
         book = liquidate(1000.0, 1000.0, 2000.0, 0.0, 1.0, 1.05, 0.1, omega_senior=True)
         assert book[0] < 1000.0
         assert book[1] == pytest.approx(1000.0)
+
+    @given(st.floats(1.0, 1e4), st.floats(1.0, 1e4), st.floats(1e-3, 0.99))
+    def test_full_liquidation_never_overdraws(self, cv, rv, ratio_):
+        # without a penalty a book below ratio 1 is liquidated in full
+        supply = (cv + rv) / ratio_ / 2.0
+        book = liquidate(supply, supply, cv, rv, 1.0, 1.1, 0.0)
+        assert book[2] >= 0.0 and book[3] >= 0.0
 
     def test_ratio_infinite_without_supply(self):
         assert math.isinf(collateral_ratio(3000.0, 0.0, 1.0))

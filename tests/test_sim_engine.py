@@ -336,9 +336,11 @@ class TestDivergence:
         # rules flag the rest from their first step
         assert monte_carlo(cfg, 10).failures == 10
 
-    def test_overdrawn_book_diverges(self):
+    def test_full_payout_leaves_books_empty_not_diverged(self):
         # Without a liquidation penalty an undercollateralized book burns all
-        # supply and pays out all collateral; here rounding overdraws a book.
+        # supply and pays out all collateral.  Pro rata, a share of these
+        # books rounds to more than the book holds; such a book is left empty,
+        # so the payout empties both books instead of overdrawing one.
         cfg = replace(
             quiescent_config(),
             assets=(
@@ -351,10 +353,13 @@ class TestDivergence:
             liq_penalty=0.0,
             initial=InitialConditions(1.0, 623.3, 1.0, 742.0, 795.4),
         )
-        with pytest.raises(StateError):
-            step_once(initial_state(cfg), cfg, np.zeros(shock_width(cfg)), 0.0, 0)
+        state, _ = step_once(initial_state(cfg), cfg, np.zeros(shock_width(cfg)), 0.0, 0)
+        assert state.crypto_value == 0.0 and state.rwa_value == 0.0
+        assert state.total_supply == 0.0
+        assert all(h.units == 0.0 for h in state.collateral)
         tr = simulate_path(cfg, 0)
-        assert tr.diverged and tr.columns["t"] == [1] and tr.columns["failed"] == [1]
+        assert not tr.diverged and len(tr) == cfg.horizon
+        assert min(tr.columns["v1"]) >= 0.0 and min(tr.columns["v2"]) >= 0.0
 
     @settings(deadline=None, max_examples=25)
     @given(
