@@ -1,12 +1,13 @@
 """Discrete-time simulator and analysis toolkit for a dual-token soft-pegged
 stablecoin with mixed crypto/RWA collateral.
 
-Public surface: state containers and the vector mapping (``core_state``),
-collateral/demand models (``market``), protocol mechanics (``protocol``),
-the feedback stabilizer and equilibrium solver (``controller``), the path
-engine and Monte Carlo layer (``sim_engine``), headline metrics and risk
-classification (``metrics``), config serialization (``config_io``), and the
-``janus-sim`` command line (``cli``).
+Public surface: governance, peg band, reference price and the state
+vector's layout (``core_state``), collateral/demand models (``market``),
+protocol mechanics (``protocol``), the feedback stabilizer and equilibrium
+solver (``controller``), the path engine and Monte Carlo layer
+(``sim_engine``), headline metrics and risk classification (``metrics``),
+config serialization (``config_io``), and the ``janus-sim`` command line
+(``cli``).  The protocol state is the state vector's floats.
 """
 
 from .config_io import (
@@ -33,10 +34,8 @@ from .controller import (
 from .core_state import (
     GovernanceDistribution,
     PegBand,
-    ProtocolState,
     ReferencePricePolicy,
     StateError,
-    TokenState,
     band_bounds,
     from_vector,
     reference_price,
@@ -89,7 +88,6 @@ from .sim_engine import (
     monte_carlo,
     pareto_front,
     simulate_path,
-    step_once,
 )
 
 __version__ = "0.1.0"

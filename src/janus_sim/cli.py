@@ -223,7 +223,7 @@ def cmd_equilibrium(args) -> int:
     def F(x):
         return step_map(x, config)
 
-    x0 = to_vector(initial_state(config))
+    x0 = to_vector(*initial_state(config))
     try:
         report = find_fixed_point(F, x0)
     except SolverError as exc:

@@ -11,7 +11,7 @@ Jacobian, and spectral radius used to classify local stability of the
 one-step map.  The map, ``step_map``, takes a state vector (the layout of
 ``core_state``) and returns the successor vector: one step of the engine's
 core, ``sim_engine._advance``, with zero shocks, zero trend and the clock
-frozen at t = 0, run on the vector's floats without building a state.
+frozen at t = 0, run on the vector's floats.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core_state import HEADER_DIM, PegBand, pack_vector, reference_price, split_vector
+from .core_state import HEADER_DIM, PegBand, from_vector, reference_price, to_vector
 
 
 class ControlError(ValueError):
@@ -97,9 +97,6 @@ class EquilibriumReport:
     residual: float
     iterations: int
     converged: bool
-    jacobian: np.ndarray | None = None
-    spectral_radius: float | None = None
-    stability: Stability | None = None
 
 
 def _clamp_delta(current: float, delta: float, lo: float, hi: float) -> float:
@@ -185,9 +182,9 @@ def step_map(x, config) -> np.ndarray:
     class books and the two retired zeros.
     """
     advance, units_of, tables, row, p_ref, n_holdings = _map_constants(config)
-    head, _ = split_vector(x, n_holdings)
+    head, _ = from_vector(x, n_holdings)
     out = advance(config, tables, row, 0.0, 0, p_ref, *head)
-    return pack_vector(out[:HEADER_DIM], units_of(config, tables, out[4], out[5]))
+    return to_vector(out[:HEADER_DIM], units_of(config, tables, out[4], out[5]))
 
 
 def find_fixed_point(

@@ -1,11 +1,11 @@
-"""Protocol state containers and the state vector of the equilibrium solver.
+"""Governance, the reference-price path, the peg band, and the state vector.
 
-The vector layout and its clamp rule are written here and nowhere else:
-``split_vector`` reads a vector under the clamp rule and ``pack_vector``
-writes one.  ``from_vector``/``to_vector`` use them to convert between a
-vector and a ``ProtocolState``; ``controller.step_map``, the solver's map,
-uses them on the vector's floats directly and builds no state.  Order (for k
-collateral holdings):
+The protocol state is the vector's floats: the 9 header entries the engine's
+core steps and the holding units derived from the collateral books.  Its
+layout and clamp rule are written here and nowhere else: ``from_vector``
+reads a vector under the clamp rule into ``(head, units)`` and ``to_vector``
+writes one.  ``controller.step_map``, the solver's map, and the ``cli``'s
+start point use them.  Order (for k collateral holdings):
 
     0            alpha price
     1            alpha supply
@@ -21,7 +21,7 @@ collateral holdings):
 
 ``c_total`` is derived (crypto + RWA value) and is not a vector coordinate.
 The retired slots keep the length of the equilibrium output's ``x_star``:
-``pack_vector`` writes 0 there and ``split_vector`` ignores them.
+``to_vector`` writes 0 there and ``from_vector`` ignores them.
 
 Clamp rule: the solver may probe negative space, so the monetary entries
 (prices, supplies, collateral values, units) are floored at +0.0 (``-0.0``
@@ -32,19 +32,19 @@ kept as they are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 GOV_WEIGHT_TOL = 1e-9
-C_TOTAL_REL_TOL = 1e-6
 
 HEADER_DIM = 9  # entries before the per-holding units block
 RETIRED_DIM = 2  # retired zeros after the units block
 
 
 class StateError(ValueError):
-    """Raised when a state container violates its invariants."""
+    """Raised on invalid governance weights, reference policy, peg band or
+    state vector."""
 
 
 @dataclass(frozen=True)
@@ -95,77 +95,6 @@ class PegBand:
             raise StateError(f"band half-width {self.epsilon} outside (0, 1)")
 
 
-@dataclass(frozen=True)
-class TokenState:
-    price: float
-    supply: float
-
-    def __post_init__(self):
-        if self.price < 0 or self.supply < 0:
-            raise StateError("token price/supply must be non-negative")
-
-    @property
-    def value(self) -> float:
-        return self.price * self.supply
-
-
-@dataclass(frozen=True)
-class CollateralHolding:
-    """One collateral position: asset index, units held, portfolio weight."""
-
-    asset_id: int
-    units: float
-    weight: float
-
-    def __post_init__(self):
-        if self.units < 0:
-            raise StateError("collateral units must be non-negative")
-        if not (0.0 <= self.weight <= 1.0):
-            raise StateError("collateral weight must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class ProtocolState:
-    """Full system state for one simulation step.
-
-    Immutable; transitions construct successor states.
-    """
-
-    time_step: int
-    alpha: TokenState
-    omega: TokenState
-    collateral: tuple[CollateralHolding, ...]
-    crypto_value: float
-    rwa_value: float
-    c_total: float
-    fee_rate: float
-    reward_rate: float
-    var_rate: float
-    governance: GovernanceDistribution
-
-    def __post_init__(self):
-        for name in ("crypto_value", "rwa_value", "c_total"):
-            if getattr(self, name) < 0:
-                raise StateError(f"{name} must be non-negative")
-        expected = self.crypto_value + self.rwa_value
-        if expected > 0 and abs(self.c_total - expected) > C_TOTAL_REL_TOL * expected:
-            raise StateError(
-                f"c_total {self.c_total} != crypto + rwa = {expected}"
-            )
-        if self.collateral:
-            wsum = sum(h.weight for h in self.collateral)
-            if self.c_total > 0 and abs(wsum - 1.0) > GOV_WEIGHT_TOL:
-                raise StateError(f"collateral weights sum to {wsum}, expected 1")
-
-    @property
-    def supply_value(self) -> float:
-        return self.alpha.value + self.omega.value
-
-    @property
-    def total_supply(self) -> float:
-        return self.alpha.supply + self.omega.supply
-
-
 def reference_price(policy: ReferencePricePolicy, t: int) -> float:
     """Target price at step t: p0 * (1 + g)^t."""
     if t < 0:
@@ -185,11 +114,7 @@ def band_bounds(p_ref: float, band: PegBand) -> tuple[float, float]:
     return p_ref - half, p_ref + half
 
 
-def vector_dim(state: ProtocolState) -> int:
-    return HEADER_DIM + len(state.collateral) + RETIRED_DIM
-
-
-def split_vector(v, n_holdings: int) -> tuple[list[float], list[float]]:
+def from_vector(v, n_holdings: int) -> tuple[list[float], list[float]]:
     """(head, units) of a state vector for ``n_holdings`` holdings, as
     floats under the clamp rule; the retired slots are dropped.
 
@@ -207,42 +132,6 @@ def split_vector(v, n_holdings: int) -> tuple[list[float], list[float]]:
     return head, units
 
 
-def pack_vector(head, units) -> np.ndarray:
+def to_vector(head, units) -> np.ndarray:
     """The state vector of the 9 header entries and the holding units."""
     return np.array([*head, *units, *(0.0,) * RETIRED_DIM])
-
-
-def to_vector(state: ProtocolState) -> np.ndarray:
-    """Flatten the numeric sub-state in the documented order."""
-    head = (
-        state.alpha.price,
-        state.alpha.supply,
-        state.omega.price,
-        state.omega.supply,
-        state.crypto_value,
-        state.rwa_value,
-        state.fee_rate,
-        state.reward_rate,
-        state.var_rate,
-    )
-    return pack_vector(head, [h.units for h in state.collateral])
-
-
-def from_vector(v: np.ndarray, template: ProtocolState) -> ProtocolState:
-    """Rebuild a state from a vector under the clamp rule, taking the
-    non-numeric fields from template."""
-    head, units = split_vector(v, len(template.collateral))
-    p_a, s_a, p_o, s_o, crypto, rwa, fee, reward, var = head
-    holdings = tuple(replace(h, units=u) for h, u in zip(template.collateral, units))
-    return replace(
-        template,
-        alpha=TokenState(price=p_a, supply=s_a),
-        omega=TokenState(price=p_o, supply=s_o),
-        collateral=holdings,
-        crypto_value=crypto,
-        rwa_value=rwa,
-        c_total=crypto + rwa,
-        fee_rate=fee,
-        reward_rate=reward,
-        var_rate=var,
-    )

@@ -15,15 +15,12 @@ One step executes a frozen sub-step order:
 Sub-steps 2-7 are written once, in ``_advance``: a core that takes and
 returns the step's numbers as plain floats (prices, supplies, the two
 collateral books, the three controller rates) and calls the mechanic
-functions of ``market``, ``protocol`` and ``controller``.  It has three
-callers.  ``simulate_path`` keeps a path's floats in locals, runs the core
-on them step by step and appends each record straight to the trace
-columns, building no state object inside its loop.  The equilibrium
-solver's ``controller.step_map`` runs the core on the floats of a state
-vector.  ``step_once`` is a state-level wrapper for single transitions: it
-unpacks a ``ProtocolState``, calls the core and packs the successor state
-and the step's record.  All three give the same floats for the same inputs;
-the two that report holdings take the units from ``holding_units``.
+functions of ``market``, ``protocol`` and ``controller``.  It has two
+callers.  ``simulate_path`` keeps a path's floats in locals, starting from
+``initial_state``, runs the core on them step by step and appends each
+record straight to the trace columns.  The equilibrium solver's
+``controller.step_map`` runs the core on the floats of a state vector and
+takes the holding units from ``holding_units``.
 
 Demand routing: the structural base inflow enters through genesis minting
 (new holders mint at the protocol, no order-book impact), while the
@@ -48,12 +45,9 @@ import numpy as np
 
 from .controller import NO_ACTION, ControllerParams, apply_action, control_action
 from .core_state import (
-    CollateralHolding,
     GovernanceDistribution,
     PegBand,
-    ProtocolState,
     ReferencePricePolicy,
-    TokenState,
     band_bounds,
     decentralization,
     reference_price,
@@ -123,6 +117,11 @@ class InitialConditions:
     omega_supply: float = 0.0
     c_total: float = 0.0
 
+    def __post_init__(self):
+        for name in ("alpha_price", "alpha_supply", "omega_price", "omega_supply", "c_total"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"initial {name} must be non-negative")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -164,8 +163,8 @@ class ScenarioConfig:
             raise ConfigError("collateral weights must match asset count")
         if abs(sum(self.collateral_weights) - 1.0) > 1e-9:
             raise ConfigError("collateral weights must sum to 1")
-        if any(w < 0 for w in self.collateral_weights):
-            raise ConfigError("collateral weights must be non-negative")
+        if not all(0.0 <= w <= 1.0 for w in self.collateral_weights):
+            raise ConfigError("collateral weights must lie in [0, 1]")
         if self.depth_alpha <= 0 or self.depth_omega <= 0:
             raise ConfigError("market depths must be positive")
         if not (0.0 <= self.turnover < 1.0):
@@ -246,28 +245,21 @@ def price_impact(price: float, net_flow: float, depth: float) -> float:
     return price * math.exp(net_flow / depth)
 
 
-def initial_state(config: ScenarioConfig) -> ProtocolState:
-    c_total = config.initial.c_total
-    holdings = tuple(
-        CollateralHolding(asset_id=s.id, units=w * c_total, weight=w)
-        for s, w in zip(config.assets, config.collateral_weights)
-    )
+def initial_state(config: ScenarioConfig) -> tuple[list[float], list[float]]:
+    """The state at step zero as ``(head, units)``, the layout of
+    ``core_state``'s vector: the 9 header entries and the units of each
+    holding, in ``config.assets`` order."""
+    init = config.initial
+    c_total = init.c_total
     crypto = c_total * sum(
         w for s, w in zip(config.assets, config.collateral_weights) if s.kind is AssetKind.CRYPTO
     )
-    return ProtocolState(
-        time_step=0,
-        alpha=TokenState(config.initial.alpha_price, config.initial.alpha_supply),
-        omega=TokenState(config.initial.omega_price, config.initial.omega_supply),
-        collateral=holdings,
-        crypto_value=crypto,
-        rwa_value=c_total - crypto,
-        c_total=c_total,
-        fee_rate=config.controller.fee_neutral,
-        reward_rate=config.controller.reward_neutral,
-        var_rate=config.controller.rate_neutral,
-        governance=config.governance,
-    )
+    ctl = config.controller
+    head = [
+        init.alpha_price, init.alpha_supply, init.omega_price, init.omega_supply,
+        crypto, c_total - crypto, ctl.fee_neutral, ctl.reward_neutral, ctl.rate_neutral,
+    ]
+    return head, [w * c_total for w in config.collateral_weights]
 
 
 @functools.lru_cache(maxsize=64)
@@ -298,8 +290,9 @@ def _reference_track(config: ScenarioConfig):
 
 
 def holding_units(config: ScenarioConfig, tables: tuple, cv: float, rv: float) -> list[float]:
-    """Units of each holding, in ``config.assets`` order (the holding order
-    of ``initial_state``): its weight's share of its own class book.
+    """Units of each holding, in ``config.assets`` order (the order of the
+    units in ``initial_state`` and in the state vector): its weight's share
+    of its own class book.
 
     Positional: an asset's id need not equal its position in
     ``config.assets``.  ``tables`` is ``_config_tables(config)``.
@@ -444,75 +437,6 @@ def _advance(
     )
 
 
-def step_once(
-    state: ProtocolState,
-    config: ScenarioConfig,
-    shocks: np.ndarray,
-    trend: float,
-    t: int,
-    frozen_time: bool = False,
-) -> tuple[ProtocolState, dict]:
-    """One full transition; pure given (state, config, shocks, trend, t).
-
-    Unpacks ``state`` into ``_advance`` and packs its floats into the
-    successor state and the step's record (``p_ref``, ``band_lo``,
-    ``band_hi``, ``net_inflow``, ``in_band``).  With ``frozen_time`` the
-    reference price and stress clock stay at step zero, as in the
-    equilibrium solver's ``controller.step_map``.  ``state.collateral`` is
-    in ``config.assets`` order, as ``initial_state`` builds it.
-    """
-    t_next = state.time_step if frozen_time else state.time_step + 1
-    p_ref = reference_price(config.ref_policy, 0 if frozen_time else t_next)
-    tables = _config_tables(config)
-    p_a, s_a, p_o, s_o, cv, rv, fee_rate, reward_rate, var_rate, net_inflow = _advance(
-        config,
-        tables,
-        np.asarray(shocks, dtype=float).tolist(),
-        trend,
-        0 if frozen_time else t,
-        p_ref,
-        state.alpha.price,
-        state.alpha.supply,
-        state.omega.price,
-        state.omega.supply,
-        state.crypto_value,
-        state.rwa_value,
-        state.fee_rate,
-        state.reward_rate,
-        state.var_rate,
-    )
-
-    # Holdings are bookkeeping derived from the class values; resync so the
-    # units coordinates never act as free integrators in the step map.
-    holdings = tuple(
-        CollateralHolding(asset_id=h.asset_id, units=u, weight=h.weight)
-        for h, u in zip(state.collateral, holding_units(config, tables, cv, rv))
-    )
-    state = replace(
-        state,
-        time_step=t_next,
-        alpha=TokenState(p_a, s_a),
-        omega=TokenState(p_o, s_o),
-        collateral=holdings,
-        crypto_value=cv,
-        rwa_value=rv,
-        c_total=cv + rv,
-        fee_rate=fee_rate,
-        reward_rate=reward_rate,
-        var_rate=var_rate,
-    )
-
-    lo, hi = band_bounds(p_ref, config.band)
-    record = {
-        "p_ref": p_ref,
-        "band_lo": lo,
-        "band_hi": hi,
-        "net_inflow": net_inflow,
-        "in_band": (lo <= p_a <= hi) and (lo <= p_o <= hi),
-    }
-    return state, record
-
-
 def simulate_path(config: ScenarioConfig, path_index: int) -> SimTrace:
     """Run one deterministic path; identical inputs give identical traces.
 
@@ -523,17 +447,12 @@ def simulate_path(config: ScenarioConfig, path_index: int) -> SimTrace:
     leaves no state to record, so the path ends with a terminal record for
     the next step with zero prices, supplies and collateral.
     """
-    state = initial_state(config)
+    (p_a, s_a, p_o, s_o, cv, rv, fee_rate, reward_rate, var_rate), _ = initial_state(config)
     rows = shock_block(config.seed, path_index, config.horizon, shock_width(config)).tolist()
     tables = _config_tables(config)
     p_refs, los, his = _reference_track(config)
     grace = config.failure.grace
     floor = config.failure.floor
-
-    p_a, s_a = state.alpha.price, state.alpha.supply
-    p_o, s_o = state.omega.price, state.omega.supply
-    cv, rv = state.crypto_value, state.rwa_value
-    fee_rate, reward_rate, var_rate = state.fee_rate, state.reward_rate, state.var_rate
 
     trace = SimTrace()
     cols = trace.columns

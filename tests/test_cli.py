@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -184,3 +185,22 @@ class TestErrors:
                 ["run", "--config", scenario_file, "--preset", "janus_baseline",
                  "--out", str(tmp_path / "o")]
             )
+
+    @pytest.mark.parametrize("command", ["run", "mc", "equilibrium"])
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("initial.alpha_price", -1.0),
+            ("initial.omega_supply", -1.0),
+            ("initial.c_total", -1.0),
+            ("collateral_weights", [math.nan, 1.0]),
+        ],
+    )
+    def test_invalid_initial_state_exits_config(self, key, value, command, tmp_path):
+        data = config_to_dict(small_config())
+        section, _, field = key.rpartition(".")
+        (data[section] if section else data)[field] = value
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps(data))
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG

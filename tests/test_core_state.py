@@ -1,49 +1,27 @@
-"""State containers, band geometry, and the state/vector bijection."""
-
-import math
-from dataclasses import replace
+"""Governance weights, band geometry, the reference path, and the state
+vector's layout and clamp rule."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from janus_sim.config_io import load_preset
 from janus_sim.core_state import (
     GovernanceDistribution,
     PegBand,
-    ProtocolState,
     ReferencePricePolicy,
     StateError,
-    TokenState,
     band_bounds,
     decentralization,
     from_vector,
     reference_price,
-    split_vector,
     to_vector,
-    vector_dim,
 )
-from janus_sim.core_state import CollateralHolding
+from janus_sim.sim_engine import ConfigError, InitialConditions, initial_state
 
-
-def make_state(**overrides):
-    base = dict(
-        time_step=0,
-        alpha=TokenState(1.0, 100.0),
-        omega=TokenState(1.0, 50.0),
-        collateral=(
-            CollateralHolding(asset_id=0, units=120.0, weight=0.6),
-            CollateralHolding(asset_id=1, units=80.0, weight=0.4),
-        ),
-        crypto_value=120.0,
-        rwa_value=80.0,
-        c_total=200.0,
-        fee_rate=0.01,
-        reward_rate=0.002,
-        var_rate=0.0005,
-        governance=GovernanceDistribution((0.5, 0.3, 0.2)),
-    )
-    base.update(overrides)
-    return ProtocolState(**base)
+# (head, units) of a two-holding state: prices, supplies, books, rates
+HEAD = [1.0, 100.0, 1.0, 50.0, 120.0, 80.0, 0.01, 0.002, 0.0005]
+UNITS = [120.0, 80.0]
 
 
 class TestGovernance:
@@ -99,75 +77,63 @@ class TestBandBounds:
 
 class TestVectorMapping:
     def test_round_trip_identity(self):
-        s = make_state()
-        v = to_vector(s)
-        assert v.shape == (vector_dim(s),)
-        s2 = from_vector(v, s)
-        assert np.allclose(to_vector(s2), v)
-        assert s2 == s  # nothing to clamp
+        v = to_vector(HEAD, UNITS)
+        assert v.shape == (13,)
+        assert from_vector(v, 2) == (HEAD, UNITS)  # nothing to clamp
 
     def test_retired_slots_are_zero_and_ignored(self):
-        s = make_state()
-        v = to_vector(s)
-        assert v.shape == (13,)
+        v = to_vector(HEAD, UNITS)
         assert v[-2] == 0.0 and v[-1] == 0.0
         probed = v.copy()
         probed[-2:] = (-5.0, 7.0)
-        s2 = from_vector(probed, s)
-        assert s2 == from_vector(v, s) == s  # the negative retired slot is not clamped into the state
+        # the negative retired slot is not clamped into the state
+        assert from_vector(probed, 2) == from_vector(v, 2) == (HEAD, UNITS)
 
     def test_negative_monetary_entries_clamped(self):
-        s = make_state()
-        v = to_vector(s)
+        v = to_vector(HEAD, UNITS)
         v[1] = -5.0
         v[4] = -1.0
-        s2 = from_vector(v, s)
-        assert s2.alpha.supply == 0.0
-        assert s2.crypto_value == 0.0
-        assert s2.c_total == s2.rwa_value == 80.0
+        head, units = from_vector(v, 2)
+        assert head[1] == 0.0
+        assert head[4] == 0.0
         # every other entry is carried over unchanged
-        assert np.array_equal(np.delete(to_vector(s2), [1, 4]), np.delete(to_vector(s), [1, 4]))
+        assert np.array_equal(
+            np.delete(to_vector(head, units), [1, 4]), np.delete(to_vector(HEAD, UNITS), [1, 4])
+        )
 
     def test_negative_rates_pass_through(self):
-        s = make_state()
-        v = to_vector(s)
+        v = to_vector(HEAD, UNITS)
         v[7] = -0.01  # reward can be a buyback
-        s2 = from_vector(v, s)
-        assert s2 == replace(s, reward_rate=-0.01)  # nothing clamped
+        head, units = from_vector(v, 2)
+        assert head == HEAD[:7] + [-0.01] + HEAD[8:]  # nothing clamped
+        assert units == UNITS
 
     def test_clamp_matches_numpy_maximum(self):
         # -0.0 becomes +0.0 (as np.maximum gives; Python's max would keep
         # -0.0), NaN passes through; rates keep their sign, zero or not
         v = np.array([-0.0, np.nan, 2.0, -3.0, -0.0, 1.0, -0.0, -0.5, 0.25, -0.0, 4.0, 0.0, 0.0])
-        head, units = split_vector(v, 2)
+        head, units = from_vector(v, 2)
         expected = np.where(np.arange(11) // 3 == 2, v[:11], np.maximum(v[:11], 0.0))
         assert [repr(x) for x in head + units] == [repr(float(x)) for x in expected]
         assert repr(head[0]) == "0.0" and repr(head[6]) == "-0.0"
 
     def test_wrong_length_rejected(self):
-        s = make_state()
         with pytest.raises(StateError):
-            from_vector(np.zeros(3), s)
+            from_vector(np.zeros(3), 2)
 
     @given(st.lists(st.floats(0.0, 1e6), min_size=13, max_size=13))
     def test_arbitrary_nonnegative_vectors_round_trip(self, entries):
-        s = make_state()
         v = np.asarray(entries)
-        s2 = from_vector(v, s)
-        w = to_vector(s2)
+        w = to_vector(*from_vector(v, 2))
         # the two retired slots read back as 0
         assert np.allclose(w[:11], v[:11])
         assert not w[11:].any()
 
 
 class TestStateInvariants:
-    def test_c_total_consistency_enforced(self):
-        with pytest.raises(StateError):
-            make_state(c_total=500.0)
-
     def test_negative_collateral_rejected(self):
-        with pytest.raises(StateError):
-            make_state(crypto_value=-1.0, c_total=79.0)
+        with pytest.raises(ConfigError):
+            InitialConditions(1.0, 100.0, 1.0, 50.0, c_total=-1.0)
 
     def test_herfindahl_matches_bruteforce(self):
         w = (0.5, 0.3, 0.2)
@@ -175,9 +141,4 @@ class TestStateInvariants:
         assert herfindahl == pytest.approx(sum(x * x for x in w), rel=1e-15)
 
     def test_is_finite_state(self):
-        assert np.all(np.isfinite(to_vector(make_state())))
-
-    def test_supply_value(self):
-        s = make_state()
-        assert s.supply_value == pytest.approx(150.0)
-        assert s.total_supply == pytest.approx(150.0)
+        assert np.all(np.isfinite(to_vector(*initial_state(load_preset("janus_baseline")))))

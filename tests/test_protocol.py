@@ -3,7 +3,6 @@
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,7 +16,9 @@ from janus_sim.protocol import (
     redeem,
     skim,
 )
-from janus_sim.sim_engine import initial_state, shock_width, step_once
+from janus_sim.controller import step_map
+from janus_sim.core_state import to_vector
+from janus_sim.sim_engine import initial_state
 
 from test_sim_engine import quiescent_config
 
@@ -153,9 +154,10 @@ def yield_config(assets, weights, treasury_split):
 
 
 def one_step(cfg):
-    s0 = initial_state(cfg)
-    s1, _ = step_once(s0, cfg, np.zeros(shock_width(cfg)), 0.0, 0)
-    return s0, s1
+    """The state vector before and after one step of ``cfg``: prices at 0
+    and 2, the crypto and RWA books at 4 and 5."""
+    x0 = to_vector(*initial_state(cfg))
+    return x0, step_map(x0, cfg)
 
 
 YIELD_ASSETS = (
@@ -169,32 +171,30 @@ class TestYield:
         assets = YIELD_ASSETS + (
             AssetSpec(id=2, kind=AssetKind.RWA, drift=0.0, vol=0.0, yield_rate=0.0007),
         )
-        s0, s1 = one_step(yield_config(assets, (0.5, 0.3, 0.2), treasury_split=1.0))
+        x0, x1 = one_step(yield_config(assets, (0.5, 0.3, 0.2), treasury_split=1.0))
         rate = (0.3 * 0.0002 + 0.2 * 0.0007) / 0.5
-        assert s1.rwa_value == pytest.approx(s0.rwa_value * (1.0 + rate), rel=1e-12)
-        assert s1.crypto_value == s0.crypto_value
+        assert x1[5] == pytest.approx(x0[5] * (1.0 + rate), rel=1e-12)
+        assert x1[4] == x0[4]
 
     def test_accrual_split(self):
         cfg = yield_config(YIELD_ASSETS, (0.5, 0.5), treasury_split=0.25)
-        s0, s1 = one_step(cfg)
-        gross = s0.rwa_value * 0.0002
-        assert s1.rwa_value == pytest.approx(s0.rwa_value + 0.25 * gross, rel=1e-12)
+        x0, x1 = one_step(cfg)
+        gross = x0[5] * 0.0002
+        assert x1[5] == pytest.approx(x0[5] + 0.25 * gross, rel=1e-12)
         # the rest supports the Omega market as a buy flow
-        assert s1.omega.price == pytest.approx(
-            s0.omega.price * math.exp(0.75 * gross / cfg.depth_omega), rel=1e-12
-        )
-        assert s1.alpha.price == s0.alpha.price
+        assert x1[2] == pytest.approx(x0[2] * math.exp(0.75 * gross / cfg.depth_omega), rel=1e-12)
+        assert x1[0] == x0[0]
 
     def test_full_retention(self):
-        s0, s1 = one_step(yield_config(YIELD_ASSETS, (0.5, 0.5), treasury_split=1.0))
-        assert s1.omega.price == s0.omega.price
-        assert s1.c_total == pytest.approx(s0.c_total + s0.rwa_value * 0.0002, rel=1e-12)
+        x0, x1 = one_step(yield_config(YIELD_ASSETS, (0.5, 0.5), treasury_split=1.0))
+        assert x1[2] == x0[2]
+        assert x1[4] + x1[5] == pytest.approx(x0[4] + x0[5] + x0[5] * 0.0002, rel=1e-12)
 
     def test_no_rwa_no_yield(self):
         assets = (YIELD_ASSETS[0], AssetSpec(id=1, kind=AssetKind.CRYPTO, drift=0.0, vol=0.0))
-        s0, s1 = one_step(yield_config(assets, (0.5, 0.5), treasury_split=0.5))
-        assert s1.rwa_value == 0.0
-        assert s1.c_total == pytest.approx(s0.c_total, rel=1e-12)
+        x0, x1 = one_step(yield_config(assets, (0.5, 0.5), treasury_split=0.5))
+        assert x1[5] == 0.0
+        assert x1[4] + x1[5] == pytest.approx(x0[4] + x0[5], rel=1e-12)
 
 
 def ratio(book, p_ref=1.0):

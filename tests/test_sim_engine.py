@@ -10,13 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 import janus_sim.sim_engine as sim_engine
 from janus_sim.config_io import PRESET_NAMES, config_from_dict, config_to_dict, load_preset
-from janus_sim.controller import ControllerParams
+from janus_sim.controller import ControllerParams, step_map
 from janus_sim.core_state import (
     GovernanceDistribution,
     PegBand,
     ReferencePricePolicy,
-    StateError,
+    band_bounds,
     reference_price,
+    to_vector,
 )
 from janus_sim.protocol import collateral_ratio
 from janus_sim.market import AssetKind, AssetSpec, CorrelationMatrix, DemandParams
@@ -38,7 +39,6 @@ from janus_sim.sim_engine import (
     path_summary,
     price_impact,
     simulate_path,
-    step_once,
 )
 from janus_sim.sim_engine import shock_width
 
@@ -147,6 +147,19 @@ class TestConfigValidation:
                 stress=StressOverlay(StressKind.CRYPTO_CRASH, onset=110, magnitude=0.5, duration=30)
             )
 
+    @pytest.mark.parametrize("weights", [(1.2, -0.2), (math.nan, 1.0), (1.0 + 5e-10, 0.0)])
+    def test_weights_must_lie_in_unit_interval(self, weights):
+        # a NaN weight, or one just above 1, passes the sum check
+        with pytest.raises(ConfigError):
+            small_config(collateral_weights=weights)
+
+    @pytest.mark.parametrize(
+        "field", ["alpha_price", "alpha_supply", "omega_price", "omega_supply", "c_total"]
+    )
+    def test_negative_initial_conditions_rejected(self, field):
+        with pytest.raises(ConfigError):
+            InitialConditions(**{field: -1.0})
+
     def test_asset_ids_must_index(self):
         with pytest.raises(ConfigError):
             small_config(
@@ -180,15 +193,12 @@ class TestHoldingUnits:
     """Holding units come from the holding's own class book when asset ids
     are not in list order."""
 
-    def test_step_once(self):
+    def test_step_map(self):
         cfg = reversed_ids_config()
         assert [s.id for s in cfg.assets] == [1, 0]
-        shocks = shock_block(cfg.seed, 0, cfg.horizon, shock_width(cfg))
-        s1, _ = step_once(initial_state(cfg), cfg, shocks[0], 0.0, 0)
-        assert s1.crypto_value != pytest.approx(s1.rwa_value)
-        assert [h.asset_id for h in s1.collateral] == [1, 0]
-        units = [h.units for h in s1.collateral]
-        assert units == pytest.approx(class_book_shares(cfg, s1.crypto_value, s1.rwa_value), rel=1e-12)
+        x = step_map(to_vector(*initial_state(cfg)), cfg)
+        assert x[4] != pytest.approx(x[5])
+        assert list(x[9:11]) == pytest.approx(class_book_shares(cfg, x[4], x[5]), rel=1e-12)
 
     def test_equilibrium(self, tmp_path):
         from janus_sim.cli import main
@@ -206,45 +216,29 @@ class TestHoldingUnits:
 
 
 class TestStepOnce:
+    """Single steps of the engine's core through the solver's map."""
+
     def test_pure_given_inputs(self):
         cfg = small_config()
-        s0 = initial_state(cfg)
-        shocks = shock_block(cfg.seed, 0, cfg.horizon, shock_width(cfg))
-        s1, r1 = step_once(s0, cfg, shocks[0], 0.0, 0)
-        s2, r2 = step_once(s0, cfg, shocks[0], 0.0, 0)
-        assert s1 == s2
-        assert r1["in_band"] == r2["in_band"]
-
-    def test_time_advances(self):
-        cfg = small_config()
-        s0 = initial_state(cfg)
-        s1, _ = step_once(s0, cfg, np.zeros(shock_width(cfg)), 0.0, 0)
-        assert s1.time_step == 1
-
-    def test_frozen_time_is_autonomous(self):
-        cfg = small_config()
-        s0 = initial_state(cfg)
-        z = np.zeros(shock_width(cfg))
-        a, _ = step_once(s0, cfg, z, 0.0, 0, frozen_time=True)
-        b, _ = step_once(s0, cfg, z, 0.0, 57, frozen_time=True)
-        assert a == b
+        x0 = to_vector(*initial_state(cfg))
+        before = x0.tobytes()
+        assert step_map(x0, cfg).tobytes() == step_map(x0, cfg).tobytes()
+        assert x0.tobytes() == before
 
     def test_quiescent_state_is_fixed(self):
         cfg = quiescent_config()
-        s0 = initial_state(cfg)
-        s1, _ = step_once(s0, cfg, np.zeros(shock_width(cfg)), 0.0, 0, frozen_time=True)
-        assert s1.alpha == s0.alpha
-        assert s1.omega == s0.omega
-        assert s1.c_total == pytest.approx(s0.c_total)
+        x0 = to_vector(*initial_state(cfg))
+        x1 = step_map(x0, cfg)
+        assert x1[:4].tobytes() == x0[:4].tobytes()  # prices and supplies
+        assert x1[4] + x1[5] == pytest.approx(x0[4] + x0[5])
 
     def test_collateral_identity_preserved(self):
+        # the holding units always add up to the two class books
         cfg = small_config()
-        s0 = initial_state(cfg)
-        shocks = shock_block(cfg.seed, 0, cfg.horizon, shock_width(cfg))
-        s = s0
-        for t in range(20):
-            s, _ = step_once(s, cfg, shocks[t], 0.0, t)
-            assert s.c_total == pytest.approx(s.crypto_value + s.rwa_value, rel=1e-9)
+        x = to_vector(*initial_state(cfg))
+        for _ in range(20):
+            x = step_map(x, cfg)
+            assert x[9:-2].sum() == pytest.approx(x[4] + x[5], rel=1e-9)
 
 
 class TestSimulatePath:
@@ -353,10 +347,10 @@ class TestDivergence:
             liq_penalty=0.0,
             initial=InitialConditions(1.0, 623.3, 1.0, 742.0, 795.4),
         )
-        state, _ = step_once(initial_state(cfg), cfg, np.zeros(shock_width(cfg)), 0.0, 0)
-        assert state.crypto_value == 0.0 and state.rwa_value == 0.0
-        assert state.total_supply == 0.0
-        assert all(h.units == 0.0 for h in state.collateral)
+        x = step_map(to_vector(*initial_state(cfg)), cfg)
+        assert x[4] == 0.0 and x[5] == 0.0  # the two books
+        assert x[1] + x[3] == 0.0  # the two supplies
+        assert not x[9:-2].any()  # the holding units
         tr = simulate_path(cfg, 0)
         assert not tr.diverged and len(tr) == cfg.horizon
         assert min(tr.columns["v1"]) >= 0.0 and min(tr.columns["v2"]) >= 0.0
@@ -384,47 +378,53 @@ class TestDivergence:
 
 
 def replay(cfg, path_index):
-    """Rebuild a path's trace columns by stepping ``step_once`` along its
-    shock rows with ``simulate_path``'s trend and failure rules.
+    """Rebuild a path's trace columns by stepping ``_advance`` along its
+    shock rows with ``simulate_path``'s trend and failure rules; each step's
+    reference price and band come from ``reference_price`` and
+    ``band_bounds``.
 
     Returns the columns and the step that raised (None if none did).
     """
-    state = initial_state(cfg)
+    (p_a, s_a, p_o, s_o, cv, rv, fee, reward, var), _ = initial_state(cfg)
     shocks = shock_block(cfg.seed, path_index, cfg.horizon, shock_width(cfg))
+    tables = sim_engine._config_tables(cfg)
     cols = {c: [] for c in TRACE_COLUMNS}
     trend = 0.0
-    prev_mid = 0.5 * (state.alpha.price + state.omega.price)
+    prev_mid = 0.5 * (p_a + p_o)
     out_streak = 0
     failed = False
     grace, floor = cfg.failure.grace, cfg.failure.floor
     for t in range(cfg.horizon):
+        p_ref = reference_price(cfg.ref_policy, t + 1)
+        lo, hi = band_bounds(p_ref, cfg.band)
         try:
-            state, rec = step_once(state, cfg, shocks[t], trend, t)
-        except (StateError, OverflowError):
+            p_a, s_a, p_o, s_o, cv, rv, fee, reward, var, net_inflow = sim_engine._advance(
+                cfg, tables, shocks[t].tolist(), trend, t, p_ref,
+                p_a, s_a, p_o, s_o, cv, rv, fee, reward, var,
+            )
+        except OverflowError:
             return cols, t
-        mid = 0.5 * (state.alpha.price + state.omega.price)
-        finite = math.isfinite(mid) and math.isfinite(state.c_total)
+        in_band = (lo <= p_a <= hi) and (lo <= p_o <= hi)
+        mid = 0.5 * (p_a + p_o)
+        finite = math.isfinite(mid) and math.isfinite(cv + rv)
         if not finite:
             failed = True
         else:
             trend = (mid - prev_mid) / prev_mid if prev_mid > 0 else 0.0
             prev_mid = mid
-            out_streak = 0 if rec["in_band"] else out_streak + 1
+            out_streak = 0 if in_band else out_streak + 1
             failed = (
                 failed
                 or (grace > 0 and out_streak >= grace)
-                or (grace == 0 and not rec["in_band"])
-                or collateral_ratio(state.c_total, state.total_supply, rec["p_ref"]) < 1.0
-                or min(state.alpha.price, state.omega.price) <= floor * rec["p_ref"]
+                or (grace == 0 and not in_band)
+                or collateral_ratio(cv + rv, s_a + s_o, p_ref) < 1.0
+                or min(p_a, p_o) <= floor * p_ref
             )
         row = dict(
-            t=state.time_step, p_a=state.alpha.price, p_omega=state.omega.price,
-            p_ref=rec["p_ref"], band_lo=rec["band_lo"], band_hi=rec["band_hi"],
-            supply_a=state.alpha.supply, supply_omega=state.omega.supply,
-            c_total=state.c_total, v1=state.crypto_value, v2=state.rwa_value,
-            net_inflow=rec["net_inflow"], fee_rate=state.fee_rate,
-            reward_rate=state.reward_rate, var_rate=state.var_rate,
-            in_band=int(rec["in_band"]), failed=int(failed),
+            t=t + 1, p_a=p_a, p_omega=p_o, p_ref=p_ref, band_lo=lo, band_hi=hi,
+            supply_a=s_a, supply_omega=s_o, c_total=cv + rv, v1=cv, v2=rv,
+            net_inflow=net_inflow, fee_rate=fee, reward_rate=reward, var_rate=var,
+            in_band=int(in_band), failed=int(failed),
         )
         for c in TRACE_COLUMNS:
             cols[c].append(row[c])
@@ -450,7 +450,7 @@ REPLAY_CASES = [(name, None) for name in PRESET_NAMES] + [
 
 
 class TestOneCore:
-    """``simulate_path`` and ``step_once`` are two entry points to one step."""
+    """``simulate_path`` replays as ``_advance`` stepped along its shock rows."""
 
     @pytest.mark.parametrize("name,kind", REPLAY_CASES)
     def test_replay_matches_presets(self, name, kind):
