@@ -25,22 +25,23 @@ RATES = [6, 7, 8]
 # SHA-256 over ``repr(outcome(...)) + "\n"`` of each input in order, as the
 # state-object route gave them; no input of any variant raises.
 STATE_ROUTE_DIGESTS = {
-    "janus_baseline": "03b5de5ef0ead15649aee1e7a42ace27e79cf67d6c08a1dfe52b0907357ff4a8",
-    "usdc_like": "527126ae166b12909063376103d1aeaa136c2a58b8647bceda7e02f35452f6b1",
-    "dai_like": "469b5939602735e4221fe4d377306309e432236dd156411ef0eb0e0b86fa360a",
-    "ust_like": "87b9cae7b69726d189687d1c145e1d865273ca9cfe612e2bbab11190e96b7f8f",
-    "flatcoin_like": "31f3e1f96e9b031d49ad7f3156a8563fcedac7d20deac85b9aaf56f4caef227c",
-    "janus_baseline+crypto_crash@0": "3a6efc90c50645777d8aff961f44bf47f8aa64057222addc3d320db368c59976",
-    "janus_baseline+rwa_shortfall@0": "cb70be6314108a6a1cf42eeb5dcaaa6ebf862a6a6aa4fcb53581bae3b82b5912",
-    "janus_baseline+demand_collapse@0": "6a845c1cb7587022d3cc29f352363720d1a54bf0aa59ae3bac36b5c6e4351049",
-    "janus_baseline+omega_senior": "e36e346acc51412b66c4bfaaf9ff18e24c9a1ee22b2d610e381d23878981ef65",
+    "janus_baseline": "2a051fa28c20d3463bee57dcf63bfd61b14ef301a48ebd9cb056bad702f5984d",
+    "usdc_like": "49f6e62f57f1a61a615d353a552b644a35a351b7903d5188a9b4fd90ef5b6b13",
+    "dai_like": "7032345c8d7bea8b1b278aa335e9517d7aae29fc61c9cd3dab4bb6dc00a9dff3",
+    "ust_like": "24415b720cdacee4115a24160e546527ee990372a6e351e13f4fdeb33a719a2f",
+    "flatcoin_like": "88865ace55d22140aeb829ed5dd03d26b56868d88df201148ca51607663821e4",
+    "janus_baseline+crypto_crash@0": "df8acca8318e21b745ddcfb335018fe1fce7c3726b6efdf7a9ac463f32ef501c",
+    "janus_baseline+rwa_shortfall@0": "6318f512ba03a28fd75bd26e6b13407a0112344cff66d7a9ce79c60c354a9aea",
+    "janus_baseline+demand_collapse@0": "f0d1498f9a950440b78630810c0df9e95704f3daca40a749d6d3aeb8f73cb8d2",
+    "janus_baseline+omega_senior": "fbfe92f1ec9c1336b734d3fbd3fb93ee11e0c2611720f3f8496139fd1b92e8aa",
 }
 
 
 def outcome(fn):
-    """Every entry's repr, or the exception a call raised."""
+    """Every entry's repr as a Python float (exact, and the same text under
+    any numpy version), or the exception a call raised."""
     try:
-        return [repr(v) for v in fn()]
+        return [repr(float(v)) for v in fn()]
     except (ValueError, OverflowError) as exc:
         return (type(exc).__name__, str(exc))
 
