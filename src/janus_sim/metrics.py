@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 
-import numpy as np
-
 from .core_state import GovernanceDistribution, decentralization
 from .sim_engine import EnsembleSummary, FailureDef, ScenarioConfig, SimTrace, monte_carlo
 

@@ -9,9 +9,10 @@ report nothing or fail.  The tracer is imported as it is, from its file.
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
-from janus_sim import cli
+from janus_sim import cli, sim_engine
 
 ROOT = Path(__file__).resolve().parents[1]
 PRESETS = ("janus_baseline", "usdc_like", "dai_like", "ust_like", "flatcoin_like")
@@ -87,3 +88,25 @@ def test_traced_mc_and_frontier_report_every_layer(tmp_path, capsys, monkeypatch
     assert mc["rng.shock_block.calls"][0] == 5
     # one worker runs the sweep in this process: no pool starts
     assert frontier["sim_engine.pool.starts"][0] == 0
+
+
+def test_traced_batched_mc_reports_every_layer(tmp_path, capsys, monkeypatch):
+    # An ensemble at the batch threshold runs as one batch: one
+    # ``simulate_path`` call for all its path-steps, one ``shock_block`` call
+    # and one ``path_summary`` call a path.
+    monkeypatch.delenv("JANUS_SIM_THREADS", raising=False)
+    tracing = load_tracing()
+    n = sim_engine.BATCH_MIN_PATHS
+    mc = traced_cli(tracing, "mc_baseline", ["mc", "--config", baseline_config_file(tmp_path),
+                                             "--paths", str(n), "--workers", "1",
+                                             "--out", str(tmp_path / "mc")])
+    capsys.readouterr()
+
+    layers = declared_layers("rng.", "sim_engine.step", "sim_engine.simulate_path",
+                             "sim_engine.path_summary", "sim_engine.monte_carlo",
+                             "metrics.", "config_io.", "cli.")
+    assert layers <= set(mc)
+    assert all(math.isfinite(mc[name][0]) for name in layers)
+    assert mc["sim_engine.step.path_steps"][0] == n * HORIZON
+    assert mc["sim_engine.simulate_path.truncated"][0] == 0
+    assert mc["rng.shock_block.calls"][0] == n

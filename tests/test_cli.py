@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import janus_sim.sim_engine as sim_engine
 from janus_sim.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from janus_sim.config_io import config_to_dict
 from janus_sim.sim_engine import TRACE_COLUMNS
@@ -96,6 +97,27 @@ class TestMc:
         monkeypatch.setenv("JANUS_SIM_THREADS", "4")
         main(["mc", "--config", scenario_file, "--paths", "6", "--out", str(b)])
         assert (a / "ensemble.json").read_bytes() == (b / "ensemble.json").read_bytes()
+
+    def test_batch_threshold_does_not_change_bytes(self, scenario_file, tmp_path, monkeypatch):
+        # One path below the threshold runs path by path, the threshold runs
+        # one batch; two workers split either into small path-by-path chunks.
+        # Forcing path by path in-process must give the same bytes.
+        monkeypatch.delenv("JANUS_SIM_THREADS", raising=False)
+        threshold = sim_engine.BATCH_MIN_PATHS
+        assert [len(c) for c in sim_engine._path_chunks(threshold, 60, 1)] == [threshold]
+
+        def ensemble(tag, n, workers):
+            out = tmp_path / tag
+            main(["mc", "--config", scenario_file, "--paths", str(n),
+                  "--workers", str(workers), "--out", str(out)])
+            return (out / "ensemble.json").read_bytes()
+
+        for n in (threshold - 1, threshold):
+            blobs = [ensemble(f"{n}-w{w}", n, w) for w in (1, 2)]
+            with monkeypatch.context() as m:
+                m.setattr(sim_engine, "BATCH_MIN_PATHS", n + 1)
+                blobs.append(ensemble(f"{n}-scalar", n, 1))
+            assert blobs[1:] == blobs[:1] * 2
 
     def test_single_path_matches_run(self, scenario_file, tmp_path):
         r, m = tmp_path / "r", tmp_path / "m"

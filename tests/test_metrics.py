@@ -10,7 +10,6 @@ from janus_sim.metrics import (
     DEPENDENCE_HIGH,
     DEPENDENCE_LOW,
     MetricError,
-    PonziReport,
     RiskClass,
     capital_efficiency,
     decentralization,

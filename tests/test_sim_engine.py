@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -488,6 +489,101 @@ class TestOneCore:
                 assert tr.diverged and raised == len(tr) - 1
                 assert exact(cols) == {c: v[:-1] for c, v in exact(tr.columns).items()}
         assert raised_any
+
+
+def batch_matches_scalar(cfg, paths):
+    """Run ``paths`` as one batch (no warning may leave it) and path by path;
+    assert the summaries agree by repr.  Returns the scalar traces."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = simulate_path(cfg, paths)
+    traces = [simulate_path(cfg, i) for i in paths]
+    assert len(batch) == sum(len(tr) for tr in traces)
+    assert list(batch.lengths) == [len(tr) for tr in traces]
+    assert list(batch.diverged) == [tr.diverged for tr in traces]
+    for i, tr in zip(paths, traces):
+        assert repr(path_summary(batch, cfg, i)) == repr(path_summary(tr, cfg, i))
+    return traces
+
+
+class TestPathBatch:
+    """A batch of paths summarizes bit for bit as the scalar core's paths."""
+
+    @pytest.mark.parametrize("name,kind", REPLAY_CASES)
+    def test_presets_and_stresses(self, name, kind):
+        cfg = load_preset(name)
+        if kind is not None:
+            cfg = replace(cfg, stress=StressOverlay(kind, onset=60, magnitude=STRESSES[kind], duration=40))
+        batch_matches_scalar(cfg, range(3, 7))
+
+    def test_omega_senior_crash(self):
+        cfg = replace(
+            load_preset("janus_baseline"),
+            omega_senior=True,
+            stress=StressOverlay(StressKind.CRYPTO_CRASH, onset=40, magnitude=0.7, duration=30),
+        )
+        batch_matches_scalar(cfg, range(6))
+
+    def test_diverging_paths(self):
+        # both divergence outcomes: a step that raised (zeroed terminal
+        # record) and a recorded non-finite step
+        raised = non_finite = 0
+        for seed in (1, 7, 14, 41):
+            for tr in batch_matches_scalar(diverging_config(seed=seed), range(40)):
+                if tr.diverged and tr.columns["c_total"][-1] == 0.0:
+                    raised += 1
+                elif tr.diverged:
+                    non_finite += 1
+        assert (raised, non_finite) == (84, 1)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(horizon=1), dict(horizon=3), dict(failure=FailureDef(grace=0)),
+    ])
+    def test_short_horizons_and_no_grace(self, overrides):
+        batch_matches_scalar(replace(load_preset("janus_baseline"), **overrides), range(8))
+
+    def test_skim_of_empty_books_raises_in_both_forms(self):
+        # A reward below -1 turns the supplies negative; the treasury skim
+        # then divides by empty books on paths 2 and 4.
+        base = load_preset("flatcoin_like")
+        cfg = replace(
+            base, horizon=40, seed=882053, depth_alpha=5.0, depth_omega=5.0,
+            controller=replace(base.controller, reward_gain=20.0, reward_min=-1.5),
+            demand=replace(base.demand, sentiment_gain=0.0, deviation_gain=0.0, noise_vol=2000.0),
+        )
+        for paths in (2, range(2, 4)):
+            with pytest.raises(ZeroDivisionError):
+                simulate_path(cfg, paths)
+        batch_matches_scalar(cfg, range(2))
+
+    @settings(deadline=None, max_examples=20)
+    @given(
+        name=st.sampled_from(PRESET_NAMES),
+        depth=st.sampled_from([5.0, 50.0, 10_000.0]),
+        turnover=st.sampled_from([0.0, 0.1, 0.9]),
+        micro_vol=st.sampled_from([0.0, 0.001, 0.5]),
+        skim_rate=st.sampled_from([0.0, 0.12, 1.0]),
+        liq=st.sampled_from([(True, False), (True, True), (False, False)]),
+        grace=st.sampled_from([0, 1, 14]),
+        reward_gain=st.sampled_from([0.0, 2.0, 20.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_scenarios(self, name, depth, turnover, micro_vol, skim_rate, liq, grace,
+                              reward_gain, seed):
+        base = load_preset(name)
+        cfg = replace(
+            base, horizon=40, seed=seed, depth_alpha=depth, depth_omega=depth,
+            turnover=turnover, micro_vol=micro_vol, skim_rate=skim_rate,
+            liq_enabled=liq[0], omega_senior=liq[1], failure=FailureDef(grace=grace),
+            controller=replace(base.controller, reward_gain=reward_gain),
+        )
+        batch_matches_scalar(cfg, range(4))
+
+    def test_chunks_cover_paths_under_the_budget(self):
+        for n_paths, horizon, workers in [(1, 365, 1), (1000, 365, 1), (1000, 365, 4), (5, 10**6, 1)]:
+            chunks = sim_engine._path_chunks(n_paths, horizon, workers)
+            assert [i for c in chunks for i in c] == list(range(n_paths))
+            assert all(len(c) * horizon <= max(sim_engine.BATCH_PATH_STEPS, horizon) for c in chunks)
 
 
 class TestStress:
