@@ -192,7 +192,8 @@ def _load_grid(args) -> dict:
         grid = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"grid file is not valid JSON: {exc}")
-    if not isinstance(grid, dict) or not grid or any(not v for v in grid.values()):
+    lists = isinstance(grid, dict) and all(isinstance(v, list) and v for v in grid.values())
+    if not grid or not lists:
         raise ConfigError("sweep grid must be a non-empty object of non-empty lists")
     return grid
 

@@ -1,49 +1,39 @@
 """Scenario config serialization: JSON files in, validated dataclasses out.
 
-Unknown keys are hard errors (typo protection).  Presets ship as data files
-under ``presets/`` so their calibration is reviewable.
+The config dataclasses are the schema.  A section's keys are its
+dataclass's fields, and each value must match the field's annotation:
+``int`` is an int (not a bool), ``float`` an int or a float (not a bool),
+``bool`` a bool, a tuple a list, an enum one of its values, and a nested
+dataclass an object.  Unknown keys, missing required keys and wrong value
+types are errors in every section (typo protection).  Values are kept as
+given (``"drift": 0`` stays an int), so a config hashes as it was written.
+
+The file format departs from the dataclasses twice: ``correlation`` is the
+bare matrix, and the market fields of ``ScenarioConfig`` are grouped under
+``"market"``.  A missing ``governance`` section, or one without
+``weights``, means a single holder.
+
+Presets ship as data files under ``presets/`` so their calibration is
+reviewable.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
+import types
+import typing
+from enum import Enum
 from importlib import resources
 
-from .controller import ControllerParams
-from .core_state import GovernanceDistribution, PegBand, ReferencePricePolicy
-from .market import AssetKind, AssetSpec, CorrelationMatrix, DemandParams
-from .protocol import MintPolicy
-from .sim_engine import (
-    ConfigError,
-    FailureDef,
-    InitialConditions,
-    ScenarioConfig,
-    StressKind,
-    StressOverlay,
-)
+from .sim_engine import ConfigError, ScenarioConfig
 
 PRESET_NAMES = ("janus_baseline", "usdc_like", "dai_like", "ust_like", "flatcoin_like")
 
-_TOP_KEYS = {
-    "assets",
-    "correlation",
-    "collateral_weights",
-    "demand",
-    "mint_policy",
-    "controller",
-    "band",
-    "ref_policy",
-    "governance",
-    "horizon",
-    "initial",
-    "failure",
-    "stress",
-    "seed",
-    "market",
-}
-
-_MARKET_KEYS = {
+# The ScenarioConfig fields that a config file groups under "market".
+_MARKET_KEYS = (
     "depth_alpha",
     "depth_omega",
     "turnover",
@@ -53,195 +43,98 @@ _MARKET_KEYS = {
     "liq_penalty",
     "liq_enabled",
     "omega_senior",
+)
+
+_SCALARS = {
+    int: ("an int", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    bool: ("a bool", lambda v: isinstance(v, bool)),
 }
 
 
-def _check_keys(section: str, data: dict, allowed: set[str]):
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in '{section}': {sorted(unknown)}")
+@functools.cache
+def _schema(cls) -> tuple[dict, list]:
+    """``cls``'s field annotations, and its fields that have no default."""
+    required = [
+        f.name
+        for f in dataclasses.fields(cls)
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    ]
+    return typing.get_type_hints(cls), required
 
 
-def _section(data: dict, name: str, cls, field_names: set[str], required=True):
-    if name not in data:
-        if required:
-            raise ConfigError(f"missing config section '{name}'")
-        return None
-    sect = data[name]
-    if not isinstance(sect, dict):
+def _object(name: str, data, allowed) -> dict:
+    if not isinstance(data, dict):
         raise ConfigError(f"config section '{name}' must be an object")
-    _check_keys(name, sect, field_names)
+    unknown = set(data) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in '{name}': {sorted(unknown)}")
+    return data
+
+
+def _value(name: str, key: str, hint, value):
+    """``value`` as the field ``key`` of section ``name`` holds it."""
+    origin = typing.get_origin(hint)
+    if origin is types.UnionType:  # ``T | None``
+        return None if value is None else _value(name, key, typing.get_args(hint)[0], value)
+    if origin is tuple:  # ``tuple[T, ...]``
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"'{key}' in '{name}' must be a list, got {value!r}")
+        return tuple(_value(name, key, typing.get_args(hint)[0], v) for v in value)
+    if dataclasses.is_dataclass(hint):
+        return _build(key, hint, value)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return hint(value)
+    what, ok = _SCALARS[hint]
+    if not ok(value):
+        raise ConfigError(f"'{key}' in '{name}' must be {what}, got {value!r}")
+    return value
+
+
+def _build(name: str, cls, data):
+    """The dataclass ``cls`` from the JSON object ``data`` of section ``name``."""
+    hints, required = _schema(cls)
+    _object(name, data, hints)
+    missing = [k for k in required if k not in data]
+    if missing:
+        raise ConfigError(f"missing key(s) in '{name}': {missing}")
     try:
-        return cls(**sect)
+        return cls(**{k: _value(name, k, hints[k], v) for k, v in data.items()})
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid '{name}' config: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be an object")
-    _check_keys("config", data, _TOP_KEYS)
-    for key in ("assets", "correlation", "collateral_weights", "horizon"):
-        if key not in data:
-            raise ConfigError(f"missing config section '{key}'")
+    top = set(_schema(ScenarioConfig)[0]) - set(_MARKET_KEYS) | {"market"}
+    data = dict(_object("config", data, top))
+    market = _object("market", data.pop("market", {}), _MARKET_KEYS)
+    if "correlation" in data:
+        data["correlation"] = {"entries": data["correlation"]}
+    gov = data.get("governance", {})
+    data["governance"] = {"weights": [1.0], **gov} if isinstance(gov, dict) else gov
+    return _build("config", ScenarioConfig, {**data, **market})
 
-    try:
-        assets = tuple(
-            AssetSpec(
-                id=a["id"],
-                kind=AssetKind(a["kind"]),
-                drift=a.get("drift", 0.0),
-                vol=a.get("vol", 0.0),
-                yield_rate=a.get("yield_rate", 0.0),
-            )
-            for a in data["assets"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid 'assets' config: {exc}") from exc
-    try:
-        correlation = CorrelationMatrix(tuple(tuple(r) for r in data["correlation"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid 'correlation' config: {exc}") from exc
 
-    demand = _section(data, "demand", DemandParams, {"base_inflow", "sentiment_gain", "deviation_gain", "noise_vol"})
-    policy = _section(data, "mint_policy", MintPolicy, {"min_collateral_ratio", "mint_fee", "redeem_fee", "alpha_omega_split"})
-    controller = _section(
-        data,
-        "controller",
-        ControllerParams,
-        {
-            "fee_gain", "reward_gain", "rate_gain",
-            "fee_min", "fee_max", "reward_min", "reward_max", "rate_min", "rate_max",
-            "leak", "fee_neutral", "reward_neutral", "rate_neutral",
-        },
-    )
-    band = _section(data, "band", PegBand, {"epsilon"})
-    ref_policy = _section(data, "ref_policy", ReferencePricePolicy, {"p0", "growth_rate"})
-    try:
-        governance = GovernanceDistribution(tuple(data.get("governance", {}).get("weights", (1.0,))))
-    except ValueError as exc:
-        raise ConfigError(f"invalid 'governance' config: {exc}") from exc
-    initial = _section(
-        data, "initial", InitialConditions,
-        {"alpha_price", "alpha_supply", "omega_price", "omega_supply", "c_total"},
-    )
-    failure = _section(data, "failure", FailureDef, {"grace", "floor"}, required=False) or FailureDef()
-
-    stress = None
-    if data.get("stress") is not None:
-        sect = data["stress"]
-        _check_keys("stress", sect, {"kind", "onset", "magnitude", "duration"})
-        try:
-            stress = StressOverlay(
-                kind=StressKind(sect["kind"]),
-                onset=sect["onset"],
-                magnitude=sect["magnitude"],
-                duration=sect["duration"],
-            )
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"invalid 'stress' config: {exc}") from exc
-
-    market = data.get("market", {})
-    _check_keys("market", market, _MARKET_KEYS)
-
-    try:
-        return ScenarioConfig(
-            assets=assets,
-            correlation=correlation,
-            collateral_weights=tuple(data["collateral_weights"]),
-            demand=demand,
-            mint_policy=policy,
-            controller=controller,
-            band=band,
-            ref_policy=ref_policy,
-            governance=governance,
-            horizon=data["horizon"],
-            initial=initial,
-            failure=failure,
-            stress=stress,
-            seed=data.get("seed", 0),
-            **market,
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid config: {exc}") from exc
+def _plain(value):
+    """Dataclasses as dicts (walking ``fields()``, not ``__dict__``, which
+    holds ``ScenarioConfig``'s memoized hash), enums as their values, tuples
+    as lists."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
-    return {
-        "assets": [
-            {
-                "id": a.id,
-                "kind": a.kind.value,
-                "drift": a.drift,
-                "vol": a.vol,
-                "yield_rate": a.yield_rate,
-            }
-            for a in config.assets
-        ],
-        "correlation": [list(r) for r in config.correlation.entries],
-        "collateral_weights": list(config.collateral_weights),
-        "demand": {
-            "base_inflow": config.demand.base_inflow,
-            "sentiment_gain": config.demand.sentiment_gain,
-            "deviation_gain": config.demand.deviation_gain,
-            "noise_vol": config.demand.noise_vol,
-        },
-        "mint_policy": {
-            "min_collateral_ratio": config.mint_policy.min_collateral_ratio,
-            "mint_fee": config.mint_policy.mint_fee,
-            "redeem_fee": config.mint_policy.redeem_fee,
-            "alpha_omega_split": config.mint_policy.alpha_omega_split,
-        },
-        "controller": {
-            "fee_gain": config.controller.fee_gain,
-            "reward_gain": config.controller.reward_gain,
-            "rate_gain": config.controller.rate_gain,
-            "fee_min": config.controller.fee_min,
-            "fee_max": config.controller.fee_max,
-            "reward_min": config.controller.reward_min,
-            "reward_max": config.controller.reward_max,
-            "rate_min": config.controller.rate_min,
-            "rate_max": config.controller.rate_max,
-            "leak": config.controller.leak,
-            "fee_neutral": config.controller.fee_neutral,
-            "reward_neutral": config.controller.reward_neutral,
-            "rate_neutral": config.controller.rate_neutral,
-        },
-        "band": {"epsilon": config.band.epsilon},
-        "ref_policy": {"p0": config.ref_policy.p0, "growth_rate": config.ref_policy.growth_rate},
-        "governance": {"weights": list(config.governance.weights)},
-        "horizon": config.horizon,
-        "initial": {
-            "alpha_price": config.initial.alpha_price,
-            "alpha_supply": config.initial.alpha_supply,
-            "omega_price": config.initial.omega_price,
-            "omega_supply": config.initial.omega_supply,
-            "c_total": config.initial.c_total,
-        },
-        "failure": {"grace": config.failure.grace, "floor": config.failure.floor},
-        "stress": None
-        if config.stress is None
-        else {
-            "kind": config.stress.kind.value,
-            "onset": config.stress.onset,
-            "magnitude": config.stress.magnitude,
-            "duration": config.stress.duration,
-        },
-        "seed": config.seed,
-        "market": {
-            "depth_alpha": config.depth_alpha,
-            "depth_omega": config.depth_omega,
-            "turnover": config.turnover,
-            "micro_vol": config.micro_vol,
-            "treasury_split": config.treasury_split,
-            "skim_rate": config.skim_rate,
-            "liq_penalty": config.liq_penalty,
-            "liq_enabled": config.liq_enabled,
-            "omega_senior": config.omega_senior,
-        },
-    }
+    data = _plain(config)
+    data["correlation"] = data["correlation"]["entries"]
+    data["market"] = {k: data.pop(k) for k in _MARKET_KEYS}
+    return data
 
 
 def config_hash(config: ScenarioConfig) -> str:

@@ -71,6 +71,10 @@ class ControllerParams:
                 raise ControlError("actuation bounds must be ordered min <= max")
         if not (0.0 <= self.leak <= 1.0):
             raise ControlError("leak must lie in [0, 1]")
+        # the reward scales the supplies by 1 + reward, which must not turn
+        # a supply negative
+        if self.reward_min < -1.0 or self.reward_neutral < -1.0:
+            raise ControlError("reward_min and reward_neutral must be at least -1")
 
 
 @dataclass(frozen=True)

@@ -257,10 +257,6 @@ def _advance_paths(config, tables, z, trend, t, p_ref, p_a, s_a, p_o, s_o, cv, r
         total = cv + rv
         f = 1.0 - config.skim_rate * (total - target) / total
         over = total > target
-        if (over & (total == 0) & ~raised).any():
-            # a reward below -1 left a negative supply: the scalar core's
-            # skim divides by the empty books and raises
-            raise ZeroDivisionError("float division by zero")
         cv = np.where(over, cv * f, cv)
         rv = np.where(over, rv * f, rv)
 

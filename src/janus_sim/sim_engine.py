@@ -772,16 +772,19 @@ class FrontierPoint:
 def _apply_overrides(config: ScenarioConfig, overrides: dict) -> ScenarioConfig:
     cfg = config
     for key, value in overrides.items():
-        if key == "min_collateral_ratio":
-            cfg = replace(cfg, mint_policy=replace(cfg.mint_policy, min_collateral_ratio=value))
-        elif key == "epsilon":
-            cfg = replace(cfg, band=PegBand(value))
-        elif key in ("fee_gain", "reward_gain", "rate_gain"):
-            cfg = replace(cfg, controller=replace(cfg.controller, **{key: value}))
-        elif key == "theta":
-            cfg = replace(cfg, collateral_weights=tuple(value))
-        else:
-            raise ConfigError(f"unknown sweep parameter '{key}'")
+        try:
+            if key == "min_collateral_ratio":
+                cfg = replace(cfg, mint_policy=replace(cfg.mint_policy, min_collateral_ratio=value))
+            elif key == "epsilon":
+                cfg = replace(cfg, band=PegBand(value))
+            elif key in ("fee_gain", "reward_gain", "rate_gain"):
+                cfg = replace(cfg, controller=replace(cfg.controller, **{key: value}))
+            elif key == "theta":
+                cfg = replace(cfg, collateral_weights=tuple(value))
+            else:
+                raise ConfigError(f"unknown sweep parameter '{key}'")
+        except TypeError as exc:
+            raise ConfigError(f"invalid sweep value {value!r} for '{key}': {exc}") from exc
     return cfg
 
 

@@ -7,10 +7,33 @@ import pytest
 
 import janus_sim.sim_engine as sim_engine
 from janus_sim.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
-from janus_sim.config_io import config_to_dict
+from janus_sim.config_io import config_to_dict, load_preset
 from janus_sim.sim_engine import TRACE_COLUMNS
 
-from test_sim_engine import diverging_config, quiescent_config, small_config
+from test_sim_engine import diverging_config, negative_reward_data, quiescent_config, small_config
+
+
+# Malformed edits of janus_baseline, each a config error.
+MALFORMED = {
+    "unknown_asset_key": lambda d: d["assets"][0].update(volx=0.1),
+    "unknown_governance_key": lambda d: d["governance"].update(weightz=[1.0]),
+    "governance_list": lambda d: d.update(governance=[1.0]),
+    "stress_scalar": lambda d: d.update(stress=5),
+    "market_scalar": lambda d: d.update(market=5),
+    "float_horizon": lambda d: d.update(horizon=10.5),
+    "bool_horizon": lambda d: d.update(horizon=True),
+    "str_seed": lambda d: d.update(seed="x"),
+    "float_seed": lambda d: d.update(seed=1.5),
+    "null_base_inflow": lambda d: d["demand"].update(base_inflow=None),
+    "float_stress_onset": lambda d: d.update(
+        stress={"kind": "crypto_crash", "onset": 1.5, "magnitude": 0.5, "duration": 40}
+    ),
+    "float_failure_grace": lambda d: d["failure"].update(grace=1.5),
+    "float_asset_id": lambda d: d["assets"][0].update(id=0.0),
+    "int_liq_enabled": lambda d: d["market"].update(liq_enabled=1),
+    "str_collateral_weight": lambda d: d.update(collateral_weights=["0.5", 0.5]),
+    "unknown_asset_kind": lambda d: d["assets"][0].update(kind="bond"),
+}
 
 
 @pytest.fixture
@@ -167,6 +190,19 @@ class TestFrontier:
         )
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("grid", [
+        {"epsilon": 0.02}, {"epsilon": "ab"}, {"epsilon": [0.02, "x"]}, {"theta": [0.5, 0.5]},
+    ])
+    def test_malformed_grid_is_config_error(self, grid, scenario_file, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        code = main(
+            ["frontier", "--config", scenario_file, "--grid", str(path), "--paths", "2",
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
 
 class TestEquilibrium:
     def test_quiescent_scenario_converges_at_start(self, quiescent_file, tmp_path):
@@ -226,3 +262,22 @@ class TestErrors:
         path.write_text(json.dumps(data))
         code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["run", "equilibrium"])
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_malformed_config_exits_config(self, name, command, tmp_path, capsys):
+        path = tmp_path / "malformed.json"
+        data = config_to_dict(load_preset("janus_baseline"))
+        MALFORMED[name](data)
+        path.write_text(json.dumps(data))
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("paths", ["5", "40"])
+    def test_reward_below_minus_one_exits_config(self, paths, tmp_path, capsys):
+        path = tmp_path / "reward.json"
+        path.write_text(json.dumps(negative_reward_data()))
+        code = main(["mc", "--config", str(path), "--paths", paths, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")

@@ -1,5 +1,6 @@
 """Config serialization round-trips, hashing, and the bundled presets."""
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -31,9 +32,12 @@ class TestRoundTrip:
         )
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
-    def test_file_round_trip(self, tmp_path):
-        import json
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_round_trip(self, name):
+        cfg = load_preset(name)
+        assert config_from_dict(config_to_dict(cfg)) == cfg
 
+    def test_file_round_trip(self, tmp_path):
         cfg = small_config()
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(config_to_dict(cfg)))
@@ -66,6 +70,26 @@ class TestValidation:
         with pytest.raises(ConfigError, match="correlation"):
             config_from_dict(data)
 
+    @pytest.mark.parametrize("key", ["depth_alpha", "liq_enabled"])
+    def test_market_key_at_top_level_rejected(self, key):
+        data = config_to_dict(small_config())
+        data[key] = data["market"].pop(key)
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(data)
+
+    def test_missing_key_in_section_rejected(self):
+        data = config_to_dict(small_config())
+        del data["assets"][1]["kind"]
+        with pytest.raises(ConfigError, match="kind"):
+            config_from_dict(data)
+
+    def test_governance_defaults_to_a_single_holder(self):
+        data = config_to_dict(small_config())
+        del data["governance"]
+        assert config_from_dict(data).governance.weights == (1.0,)
+        data["governance"] = {}
+        assert config_from_dict(data).governance.weights == (1.0,)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "nope.json"))
@@ -77,7 +101,33 @@ class TestValidation:
             load_config(str(path))
 
 
+# config_hash of each preset: any change to the serialized form of a config
+# changes these digests, and with them every manifest's config_hash.
+PRESET_DIGESTS = {
+    "janus_baseline": "6745fc1fdb43da95276d502a7d067ece5b34e6869e7961119c1983f666271f32",
+    "usdc_like": "a1efdcf652f7479249bf831c66b2f16c830fd3ca5aac647b41c59270c51d8480",
+    "dai_like": "7a173abc2bdf6e6e398195d000e58e182d6331b5a1ebaff33494a3e2a7210bbe",
+    "ust_like": "b41c7aa65189aa290b43581ba41db6800619e1ece5f43987e4a180d2b0ca1916",
+    "flatcoin_like": "78b969c1598da1f321838461396c4bdbd0ad9536516ba1dafc02d7cbb2466f78",
+}
+
+
 class TestHash:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_digests_pinned(self, name):
+        assert config_hash(load_preset(name)) == PRESET_DIGESTS[name]
+
+    def test_variant_digest_pinned(self):
+        # a stress overlay, a non-default failure rule and int values in
+        # float fields (hashed as ints)
+        data = config_to_dict(load_preset("janus_baseline"))
+        data["assets"][0]["drift"] = 0
+        data["market"]["depth_alpha"] = 5000
+        data["failure"] = {"grace": 7, "floor": 0.4}
+        data["stress"] = {"kind": "crypto_crash", "onset": 60, "magnitude": 0.5, "duration": 40}
+        digest = "cad1a06ccefb8bf9d898b09a16ad31c6292e932e885c3aaa174939537fc809ed"
+        assert config_hash(config_from_dict(data)) == digest
+
     def test_stable(self):
         cfg = small_config()
         assert config_hash(cfg) == config_hash(small_config())

@@ -68,6 +68,18 @@ class TestControlAction:
         with pytest.raises(ControlError):
             control_action(0.0, 1.0, BAND, PARAMS, NEUTRAL)
 
+    @pytest.mark.parametrize(
+        "bound", [dict(reward_min=-1.5), dict(reward_min=-2.0, reward_neutral=-1.5)]
+    )
+    def test_reward_below_minus_one_rejected(self, bound):
+        # 1 + reward scales the supplies, so a reward below -1 would turn
+        # them negative
+        with pytest.raises(ControlError, match="at least -1"):
+            ControllerParams(**bound)
+
+    def test_reward_of_minus_one_accepted(self):
+        assert ControllerParams(reward_min=-1.0, reward_neutral=-1.0).reward_min == -1.0
+
 
 class TestApplyAction:
     def test_leak_pulls_to_neutral(self):

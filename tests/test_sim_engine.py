@@ -171,6 +171,17 @@ class TestConfigValidation:
             )
 
 
+def negative_reward_data() -> dict:
+    """flatcoin_like with a reward floor of -1.5: on paths 2 and 4 (seed
+    882053) the reward would turn the supplies negative."""
+    data = config_to_dict(load_preset("flatcoin_like"))
+    data.update(horizon=40, seed=882053)
+    data["controller"].update(reward_gain=20.0, reward_min=-1.5)
+    data["market"].update(depth_alpha=5.0, depth_omega=5.0)
+    data["demand"].update(sentiment_gain=0.0, deviation_gain=0.0, noise_vol=2000.0)
+    return data
+
+
 def reversed_ids_config():
     """janus_baseline with its two asset ids swapped: the crypto asset,
     listed first, has id 1."""
@@ -542,19 +553,12 @@ class TestPathBatch:
     def test_short_horizons_and_no_grace(self, overrides):
         batch_matches_scalar(replace(load_preset("janus_baseline"), **overrides), range(8))
 
-    def test_skim_of_empty_books_raises_in_both_forms(self):
-        # A reward below -1 turns the supplies negative; the treasury skim
-        # then divides by empty books on paths 2 and 4.
-        base = load_preset("flatcoin_like")
-        cfg = replace(
-            base, horizon=40, seed=882053, depth_alpha=5.0, depth_omega=5.0,
-            controller=replace(base.controller, reward_gain=20.0, reward_min=-1.5),
-            demand=replace(base.demand, sentiment_gain=0.0, deviation_gain=0.0, noise_vol=2000.0),
-        )
-        for paths in (2, range(2, 4)):
-            with pytest.raises(ZeroDivisionError):
-                simulate_path(cfg, paths)
-        batch_matches_scalar(cfg, range(2))
+    def test_reward_below_minus_one_is_a_config_error(self):
+        # A reward below -1 would turn the supplies negative and leave the
+        # treasury skim dividing by empty books; the scenario is rejected
+        # before any path runs.
+        with pytest.raises(ConfigError, match="reward_min"):
+            config_from_dict(negative_reward_data())
 
     @settings(deadline=None, max_examples=20)
     @given(
