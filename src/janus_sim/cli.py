@@ -79,16 +79,16 @@ def _load(args) -> ScenarioConfig:
 
 
 def _workers(args) -> int:
+    """At most how many processes an ensemble may use."""
     env = os.environ.get("JANUS_SIM_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError(f"JANUS_SIM_THREADS must be an integer, got {env!r}")
-        if n < 1:
-            raise ConfigError("JANUS_SIM_THREADS must be >= 1")
-        return n
-    return args.workers
+    source = "--workers" if env is None else "JANUS_SIM_THREADS"
+    try:
+        n = args.workers if env is None else int(env)
+    except ValueError:
+        raise ConfigError(f"{source} must be an integer, got {env!r}")
+    if n < 1:
+        raise ConfigError(f"{source} must be >= 1")
+    return n
 
 
 def _write_manifest(out_dir: str, config: ScenarioConfig, n_paths: int, outputs: list[str], t0: float):

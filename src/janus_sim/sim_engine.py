@@ -24,15 +24,16 @@ takes the holding units from ``holding_units``.
 
 The step has a second form for ensembles: ``path_batch`` runs sub-steps 2-7
 and the record rules on NumPy arrays over a range of paths, bit-identical
-to ``_advance`` path for path.  ``monte_carlo`` splits its paths into
-chunks and runs each chunk of at least ``BATCH_MIN_PATHS`` paths as one
-batch, through ``simulate_path(config, range)`` and ``path_summary`` on the
-``PathBatch`` it returns; smaller chunks run path by path.  Two forms
-exist because each is the faster one on its side of that threshold: a
-batch step has a fixed cost of about 0.3 ms in NumPy calls, so the scalar
-core wins below about 30 paths, and ``run``, ``step_map`` and small
-ensembles step one path at a time.  The scalar core is also the reference
-the batch is tested against.  Which form ran cannot show in any output.
+to ``_advance`` path for path.  ``monte_carlo`` and ``frontier_sweep``
+split their paths into chunks and run each chunk of at least
+``BATCH_MIN_PATHS`` paths as one batch, through ``simulate_path(config,
+range)`` and ``path_summary`` on the ``PathBatch`` it returns; smaller
+chunks run path by path.  Two forms exist because each is the faster one
+on its side of that threshold: a batch step has a fixed cost of about
+0.3 ms in NumPy calls, so the scalar core wins below about 30 paths, and
+``run``, ``step_map`` and small ensembles step one path at a time.  The
+scalar core is also the reference the batch is tested against.  Which form
+ran cannot show in any output.
 
 Demand routing: the structural base inflow enters through genesis minting
 (new holders mint at the protocol, no order-book impact), while the
@@ -46,11 +47,10 @@ admits interior fixed points with finite supply.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -82,11 +82,14 @@ if TYPE_CHECKING:
 
 BURN_IN_STEPS = 30
 
-# ``monte_carlo`` runs a chunk of paths side by side once it holds this many
-# paths (below it the scalar core is faster), and gives no chunk more than
-# this many path-steps, which bounds a batch's memory for any ensemble size.
+# A chunk runs its paths side by side once it holds this many (below it the
+# scalar core is faster).  No chunk holds more than this many path-steps,
+# which bounds a batch's memory, and no pool starts for this much work or
+# less, where a path-step run path by path counts as SCALAR_STEP_COST
+# batched ones (janus_baseline on a 2-core x86 host: 19 us against 3.3 us).
 BATCH_MIN_PATHS = 32
 BATCH_PATH_STEPS = 1 << 18
+SCALAR_STEP_COST = 6
 
 
 class ConfigError(ValueError):
@@ -670,8 +673,6 @@ class EnsembleSummary:
 
 
 def _wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    if n == 0:
-        return 0.0, 1.0
     p = k / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -690,62 +691,71 @@ def _summarize_paths(args) -> list[PathSummary]:
     return [path_summary(simulate_path(config, i), config, i) for i in paths]
 
 
-def _path_chunks(n_paths: int, horizon: int, workers: int) -> list[range]:
-    """Paths 0..n-1 split into near-equal consecutive chunks of at most
-    ``BATCH_PATH_STEPS`` path-steps each; with ``workers > 1`` no chunk is
-    larger than a quarter of a worker's share, so the pool can balance."""
-    size = max(BATCH_PATH_STEPS // horizon, 1)
-    if workers > 1:
-        size = min(size, max(n_paths // (4 * workers), 1))
-    k = -(-n_paths // size)
-    return [range(n_paths * c // k, n_paths * (c + 1) // k) for c in range(k)]
+def _split(paths: range, k: int) -> list[range]:
+    """``paths`` cut into ``k`` near-equal consecutive ranges."""
+    n = len(paths)
+    return [paths[n * c // k : n * (c + 1) // k] for c in range(k)]
 
 
-def _spawn_pool(workers: int):
-    import multiprocessing as mp
-
-    return mp.get_context("spawn").Pool(processes=workers)
-
-
-def monte_carlo(
-    config: ScenarioConfig, n_paths: int, workers: int = 1, pool=None
-) -> EnsembleSummary:
-    """Aggregate independent paths 0..n-1 in deterministic index order.
-
-    Results are bitwise identical for any worker count and chunking: each
-    path derives its own counter-based stream, a batch reproduces the
-    scalar core's bits, and the reduction runs in index order.  The paths
-    run in the chunks of ``_path_chunks``; with ``workers > 1`` the chunks
-    run on ``pool`` when one is given (it stays open), otherwise on a spawn
-    pool of their own.
-    """
+def _path_chunks(n_paths: int, horizon: int) -> list[range]:
+    """Paths 0..n-1 split into near-equal consecutive ranges of at most
+    ``BATCH_PATH_STEPS`` path-steps each."""
     if n_paths < 1:
         raise ConfigError("need at least one path")
-    jobs = [(config, paths) for paths in _path_chunks(n_paths, config.horizon, workers)]
-    if workers > 1 and n_paths > 1:
-        if pool is not None:
-            parts = pool.map(_summarize_paths, jobs, chunksize=1)
-        else:
-            with _spawn_pool(workers) as own:
-                parts = own.map(_summarize_paths, jobs, chunksize=1)
-    else:
-        parts = [_summarize_paths(j) for j in jobs]
-    summaries = [s for part in parts for s in part]
+    size = max(BATCH_PATH_STEPS // horizon, 1)
+    return _split(range(n_paths), -(-n_paths // size))
 
+
+def _spawn_pool(processes: int):
+    import multiprocessing as mp
+
+    return mp.get_context("spawn").Pool(processes=processes)
+
+
+def _run_jobs(jobs: list[tuple[ScenarioConfig, range]], workers: int) -> list[PathSummary]:
+    """The path summaries of the ``(config, range)`` jobs, in job order.
+    With ``workers > 1`` and more than ``BATCH_PATH_STEPS`` of work (scalar
+    path-steps weighted by ``SCALAR_STEP_COST``), the jobs are split into at
+    least ``workers`` and mapped in order on one spawn pool of
+    ``min(workers, len(jobs))`` processes; else in-process."""
+    cost = sum(
+        len(p) * c.horizon * (1 if len(p) >= BATCH_MIN_PATHS else SCALAR_STEP_COST) for c, p in jobs
+    )
+    if workers > 1 and cost > BATCH_PATH_STEPS:
+        parts = -(-workers // len(jobs))
+        jobs = [(c, r) for c, p in jobs for r in _split(p, min(parts, len(p)))]
+        with _spawn_pool(min(workers, len(jobs))) as pool:
+            done = pool.map(_summarize_paths, jobs, chunksize=1)
+    else:
+        done = [_summarize_paths(job) for job in jobs]
+    return [s for part in done for s in part]
+
+
+def _median(values: list[float]) -> float:
+    """``np.median``'s bits, without the ``numpy.ma`` import it makes."""
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
+def _ensemble_summary(config: ScenarioConfig, summaries: list[PathSummary]) -> EnsembleSummary:
+    """The ensemble statistics of ``summaries``, reduced in their order."""
+    n_paths = len(summaries)
     failures = sum(1 for s in summaries if s.failed)
-    p_fail = failures / n_paths
     r2s = [s.inflow_r2 for s in summaries if not math.isnan(s.inflow_r2)]
     return EnsembleSummary(
         n_paths=n_paths,
         failures=failures,
-        p_fail=p_fail,
+        p_fail=failures / n_paths,
         p_fail_ci=_wilson_interval(failures, n_paths),
         mean_in_band=float(np.mean([s.in_band_fraction for s in summaries])),
         mean_efficiency=float(np.mean([s.mean_efficiency for s in summaries])),
         mean_terminal_p_a=float(np.mean([s.terminal_p_a for s in summaries])),
         mean_terminal_p_omega=float(np.mean([s.terminal_p_omega for s in summaries])),
-        median_terminal_p_a=float(np.median([s.terminal_p_a for s in summaries])),
-        median_terminal_p_omega=float(np.median([s.terminal_p_omega for s in summaries])),
+        median_terminal_p_a=_median([s.terminal_p_a for s in summaries]),
+        median_terminal_p_omega=_median([s.terminal_p_omega for s in summaries]),
         terminal_p_ref=reference_price(config.ref_policy, config.horizon),
         minted_notional=float(np.mean([s.peak_supply_value for s in summaries])),
         crypto_anchor=float(np.mean([s.terminal_crypto for s in summaries])),
@@ -754,6 +764,18 @@ def monte_carlo(
         in_band_fractions=tuple(s.in_band_fraction for s in summaries),
         failed_flags=tuple(s.failed for s in summaries),
     )
+
+
+def monte_carlo(config: ScenarioConfig, n_paths: int, workers: int = 1) -> EnsembleSummary:
+    """Aggregate independent paths 0..n-1 in deterministic index order.
+
+    Results are bitwise identical for any worker count and chunking: each
+    path derives its own counter-based stream, a batch reproduces the
+    scalar core's bits, and the reduction runs in index order.  ``workers``
+    is an upper bound (see ``_run_jobs``).
+    """
+    jobs = [(config, paths) for paths in _path_chunks(n_paths, config.horizon)]
+    return _ensemble_summary(config, _run_jobs(jobs, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -770,22 +792,22 @@ class FrontierPoint:
 
 
 def _apply_overrides(config: ScenarioConfig, overrides: dict) -> ScenarioConfig:
-    cfg = config
+    """``config`` with a grid cell's values, built through the config file
+    schema, so a cell value is checked as the same value in a file is.  A
+    key names the field of the one config-file section that has it;
+    ``theta`` names ``collateral_weights``."""
+    from .config_io import config_from_dict, config_to_dict
+
+    data = config_to_dict(config)
     for key, value in overrides.items():
-        try:
-            if key == "min_collateral_ratio":
-                cfg = replace(cfg, mint_policy=replace(cfg.mint_policy, min_collateral_ratio=value))
-            elif key == "epsilon":
-                cfg = replace(cfg, band=PegBand(value))
-            elif key in ("fee_gain", "reward_gain", "rate_gain"):
-                cfg = replace(cfg, controller=replace(cfg.controller, **{key: value}))
-            elif key == "theta":
-                cfg = replace(cfg, collateral_weights=tuple(value))
-            else:
-                raise ConfigError(f"unknown sweep parameter '{key}'")
-        except TypeError as exc:
-            raise ConfigError(f"invalid sweep value {value!r} for '{key}': {exc}") from exc
-    return cfg
+        if key == "theta":
+            data["collateral_weights"] = value
+            continue
+        sections = [s for s in data.values() if isinstance(s, dict) and key in s]
+        if len(sections) != 1:
+            raise ConfigError(f"unknown sweep parameter '{key}'")
+        sections[0][key] = value
+    return config_from_dict(data)
 
 
 def pareto_front(points: list[tuple[float, float, float]]) -> list[bool]:
@@ -806,16 +828,19 @@ def frontier_sweep(
 ) -> list[FrontierPoint]:
     """Evaluate a parameter grid and mark the Pareto-optimal points.
 
-    With ``workers > 1`` every cell runs on one spawn pool, opened before
-    the first cell and closed after the last.
+    All cells' chunks run as one job list, so a sweep opens at most one
+    pool, and each cell is reduced as ``monte_carlo`` reduces an ensemble.
     """
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ConfigError("sweep grid must be non-empty")
     keys = list(grid.keys())
     cells = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
     configs = [_apply_overrides(base, overrides) for overrides in cells]
-    with _spawn_pool(workers) if workers > 1 and n_paths > 1 else contextlib.nullcontext() as pool:
-        summaries = [monte_carlo(cfg, n_paths, workers, pool) for cfg in configs]
+    jobs = [(cfg, paths) for cfg in configs for paths in _path_chunks(n_paths, cfg.horizon)]
+    done = _run_jobs(jobs, workers)
+    summaries = [
+        _ensemble_summary(cfg, done[c * n_paths : (c + 1) * n_paths]) for c, cfg in enumerate(configs)
+    ]
     results = [
         (overrides, decentralization(cfg.governance), summary.mean_efficiency, 1.0 - summary.p_fail)
         for overrides, cfg, summary in zip(cells, configs, summaries)

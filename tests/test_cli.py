@@ -1,7 +1,11 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 
+import hashlib
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,11 +127,12 @@ class TestMc:
 
     def test_batch_threshold_does_not_change_bytes(self, scenario_file, tmp_path, monkeypatch):
         # One path below the threshold runs path by path, the threshold runs
-        # one batch; two workers split either into small path-by-path chunks.
-        # Forcing path by path in-process must give the same bytes.
+        # one batch; with two workers either ensemble is still below one
+        # batch of path-steps, so it runs the same chunk in this process.
+        # Forcing path by path must give the same bytes.
         monkeypatch.delenv("JANUS_SIM_THREADS", raising=False)
         threshold = sim_engine.BATCH_MIN_PATHS
-        assert [len(c) for c in sim_engine._path_chunks(threshold, 60, 1)] == [threshold]
+        assert [len(c) for c in sim_engine._path_chunks(threshold, 60)] == [threshold]
 
         def ensemble(tag, n, workers):
             out = tmp_path / tag
@@ -155,6 +160,79 @@ class TestMc:
         monkeypatch.setenv("JANUS_SIM_THREADS", "many")
         code = main(["mc", "--config", scenario_file, "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
+
+    def test_leaves_numpy_ma_unimported(self, scenario_file, tmp_path):
+        # numpy.ma costs about 1.3 MB of resident memory; np.median imports it
+        src = str(Path(sim_engine.__file__).resolve().parents[1])
+        code = ("import sys\n"
+                f"sys.path.insert(0, {src!r})\n"
+                "from janus_sim.cli import main\n"
+                f"assert main(['mc', '--config', {scenario_file!r}, '--paths', '40',"
+                f" '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+                "print('numpy.ma' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("command", ["mc", "frontier"])
+    @pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), ("1", "0"), ("4", "-1")])
+    def test_fewer_than_one_worker_is_config_error(
+        self, command, flag, env, scenario_file, tmp_path, monkeypatch, capsys
+    ):
+        if env is None:
+            monkeypatch.delenv("JANUS_SIM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("JANUS_SIM_THREADS", env)
+        out = tmp_path / "o"
+        code = main([command, "--config", scenario_file, "--paths", "2", "--workers", flag,
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+
+class TestWorkers:
+    """``ensemble.json`` and ``frontier.csv`` keep their bytes for 1, 2 and 4
+    workers, with the ensemble below one batch of path-steps (in process)
+    and past it (``BATCH_PATH_STEPS`` lowered so that a real spawn pool
+    runs batched chunks, or path-by-path ones for 4 workers)."""
+
+    @pytest.mark.parametrize("command", ["mc", "frontier"])
+    @pytest.mark.parametrize("name", ["scenario", "diverging"])
+    def test_bytes_for_any_workers_on_both_sides_of_the_pool(
+        self, command, name, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("JANUS_SIM_THREADS", raising=False)
+        config = small_config(horizon=60) if name == "scenario" else diverging_config(seed=1)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_to_dict(config)))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"epsilon": [0.01, 0.03]}))
+        n = sim_engine.BATCH_MIN_PATHS
+        opened = []
+        spawn_pool = sim_engine._spawn_pool
+
+        def counting_pool(processes):
+            opened.append(processes)
+            return spawn_pool(processes)
+
+        monkeypatch.setattr(sim_engine, "_spawn_pool", counting_pool)
+
+        def output(tag, workers):
+            out = tmp_path / tag
+            extra = ["--grid", str(grid)] if command == "frontier" else []
+            code = main([command, "--config", str(path), "--paths", str(n), *extra,
+                         "--workers", str(workers), "--out", str(out)])
+            assert code == EXIT_OK
+            return (out / ("frontier.csv" if command == "frontier" else "ensemble.json")).read_bytes()
+
+        blobs = [output(f"w{w}", w) for w in (1, 2, 4)]
+        assert opened == []
+        # mc: 2 chunks of n/2 paths; frontier: 2 cells of one n-path chunk
+        chunk = n // 2 if command == "mc" else n
+        monkeypatch.setattr(sim_engine, "BATCH_PATH_STEPS", chunk * config.horizon)
+        blobs += [output(f"pool-w{w}", w) for w in (1, 2, 4)]
+        assert opened == [2, 4]
+        assert blobs == blobs[:1] * 6
 
 
 class TestFrontier:
@@ -192,6 +270,7 @@ class TestFrontier:
 
     @pytest.mark.parametrize("grid", [
         {"epsilon": 0.02}, {"epsilon": "ab"}, {"epsilon": [0.02, "x"]}, {"theta": [0.5, 0.5]},
+        {"theta": [[True, False]], "fee_gain": [True]}, {"epsilon": [True]},
     ])
     def test_malformed_grid_is_config_error(self, grid, scenario_file, tmp_path, capsys):
         path = tmp_path / "grid.json"
@@ -202,6 +281,17 @@ class TestFrontier:
         )
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "o" / "frontier.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_bundled_grid_keeps_its_bytes(self, workers, tmp_path, monkeypatch):
+        monkeypatch.delenv("JANUS_SIM_THREADS", raising=False)
+        out = tmp_path / "o"
+        code = main(["frontier", "--preset", "janus_baseline", "--paths", "4",
+                     "--workers", workers, "--out", str(out)])
+        assert code == EXIT_OK
+        digest = hashlib.sha256((out / "frontier.csv").read_bytes()).hexdigest()
+        assert digest == "946cf06806fa352727ed133bdb3e526f085131b9c78ce7e2098378789419a2ab"
 
 
 class TestEquilibrium:

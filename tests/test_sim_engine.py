@@ -584,10 +584,13 @@ class TestPathBatch:
         batch_matches_scalar(cfg, range(4))
 
     def test_chunks_cover_paths_under_the_budget(self):
-        for n_paths, horizon, workers in [(1, 365, 1), (1000, 365, 1), (1000, 365, 4), (5, 10**6, 1)]:
-            chunks = sim_engine._path_chunks(n_paths, horizon, workers)
+        for n_paths, horizon in [(1, 365), (1000, 365), (5, 10**6)]:
+            chunks = sim_engine._path_chunks(n_paths, horizon)
             assert [i for c in chunks for i in c] == list(range(n_paths))
             assert all(len(c) * horizon <= max(sim_engine.BATCH_PATH_STEPS, horizon) for c in chunks)
+            assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
+        assert sim_engine._path_chunks(100, 365) == [range(100)]
+        assert sim_engine._path_chunks(1000, 365) == [range(500), range(500, 1000)]
 
 
 class TestStress:
@@ -640,6 +643,28 @@ class TestWilson:
         assert lo < 0.1 < hi
 
 
+def serial_pools(monkeypatch) -> list[int]:
+    """Replace the spawn pool with an in-process map; the returned list
+    collects the process count of each pool opened."""
+    opened = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            opened.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(sim_engine, "_spawn_pool", SerialPool)
+    return opened
+
+
 class TestMonteCarlo:
     def test_worker_counts_agree(self):
         cfg = small_config(horizon=40)
@@ -662,6 +687,43 @@ class TestMonteCarlo:
     def test_requires_paths(self):
         with pytest.raises(ConfigError):
             monte_carlo(small_config(), 0)
+        with pytest.raises(ConfigError):
+            frontier_sweep(small_config(), {"epsilon": [0.02]}, 0)
+
+    @pytest.mark.parametrize("n_paths, workers, processes", [(4, 2, 2), (4, 8, 4), (3, 8, 3)])
+    def test_pool_splits_jobs_up_to_the_workers(self, monkeypatch, n_paths, workers, processes):
+        # past one batch, the single chunk is split so that every worker up
+        # to one per path gets a job
+        cfg = small_config(horizon=40)
+        serial = monte_carlo(cfg, n_paths)
+        opened = serial_pools(monkeypatch)
+        monkeypatch.setattr(sim_engine, "BATCH_PATH_STEPS", cfg.horizon * n_paths - 1)
+        assert monte_carlo(cfg, n_paths, workers) == serial
+        assert opened == [processes]
+
+    @pytest.mark.parametrize("min_paths, opened_pools", [(4, []), (5, [2])])
+    def test_scalar_chunks_weigh_more_toward_a_pool(self, monkeypatch, min_paths, opened_pools):
+        # one 4-path chunk, just under the pool threshold when it runs as a
+        # batch and over it when it runs path by path
+        cfg = small_config(horizon=40)
+        serial = monte_carlo(cfg, 4)
+        opened = serial_pools(monkeypatch)
+        steps = 4 * cfg.horizon * sim_engine.SCALAR_STEP_COST - 1
+        monkeypatch.setattr(sim_engine, "BATCH_PATH_STEPS", steps)
+        monkeypatch.setattr(sim_engine, "BATCH_MIN_PATHS", min_paths)
+        assert monte_carlo(cfg, 4, 2) == serial
+        assert opened == opened_pools
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 101, 100])
+    def test_median_matches_numpy_bits(self, count):
+        values = np.random.default_rng(count).lognormal(size=count).tolist()
+        if count > 2:
+            values[1] = 0.0
+            values[2] = values[0]
+        got = sim_engine._median(values)
+        assert np.float64(got).tobytes() == np.median(values).tobytes()
+        assert math.isnan(sim_engine._median(values + [float("nan")]))
+        assert math.isnan(np.median(values + [float("nan")]))
 
     def test_terminal_p_ref_is_reference_at_horizon(self):
         cfg = diverging_config(seed=1)
@@ -709,19 +771,31 @@ class TestFrontier:
         with pytest.raises(ConfigError):
             frontier_sweep(small_config(), {"nonsense": [1]}, 2)
 
-    def test_one_pool_gives_serial_points(self, monkeypatch):
+    def test_sweep_below_one_batch_opens_no_pool(self, monkeypatch):
         cfg = small_config(horizon=30)
         grid = {"epsilon": [0.01, 0.03], "min_collateral_ratio": [1.4, 1.6]}
-        opened = []
-        spawn_pool = sim_engine._spawn_pool
-
-        def counting_pool(workers):
-            opened.append(workers)
-            return spawn_pool(workers)
-
-        monkeypatch.setattr(sim_engine, "_spawn_pool", counting_pool)
+        opened = serial_pools(monkeypatch)
         assert frontier_sweep(cfg, grid, 4, workers=2) == frontier_sweep(cfg, grid, 4, workers=1)
-        assert opened == [2]  # one pool for the whole sweep
+        assert opened == []
+
+    def test_one_pool_gives_serial_points(self, monkeypatch):
+        # past one batch of path-steps: 4 cells of 2 one-path chunks are 8
+        # jobs, so 16 workers get 8 processes
+        cfg = small_config(horizon=30)
+        grid = {"epsilon": [0.01, 0.03], "min_collateral_ratio": [1.4, 1.6]}
+        serial = frontier_sweep(cfg, grid, 2, workers=1)
+        opened = serial_pools(monkeypatch)
+        monkeypatch.setattr(sim_engine, "BATCH_PATH_STEPS", cfg.horizon)
+        for workers, processes in ((3, 3), (16, 8)):
+            assert frontier_sweep(cfg, grid, 2, workers=workers) == serial
+            assert opened.pop() == processes and not opened  # one pool for the whole sweep
+
+    def test_any_config_file_field_sweeps(self):
+        cfg = small_config(horizon=30)
+        (pt,) = frontier_sweep(cfg, {"depth_alpha": [50.0], "noise_vol": [0.5]}, 3)
+        swept = replace(cfg, depth_alpha=50.0, demand=replace(cfg.demand, noise_vol=0.5))
+        ens = monte_carlo(swept, 3)
+        assert (pt.e, pt.s) == (ens.mean_efficiency, 1.0 - ens.p_fail)
 
     def test_theta_override(self):
         cfg = small_config(horizon=30)
