@@ -17,8 +17,6 @@ import sys
 import time
 from dataclasses import replace
 
-import numpy as np
-
 from . import __version__
 from .config_io import (
     PRESET_NAMES,
@@ -34,8 +32,9 @@ from .controller import (
     spectral_radius,
     step_map,
 )
-# ``from_vector`` is unused here but stays importable from ``cli``: the
-# benchmark tracer patches cli.step_map, cli.to_vector and cli.from_vector.
+from .core_state import to_list
+# Unused here, but the benchmark tracer patches them; it counts the solver's
+# evaluations as calls of ``cli.step_map``, which each must look up here.
 from .core_state import from_vector, to_vector  # noqa: F401
 from .metrics import decentralization, ponzi_report, trilemma_point
 from .sim_engine import (
@@ -224,7 +223,7 @@ def cmd_equilibrium(args) -> int:
     def F(x):
         return step_map(x, config)
 
-    x0 = to_vector(*initial_state(config))
+    x0 = to_list(*initial_state(config))
     try:
         report = find_fixed_point(F, x0)
     except SolverError as exc:
@@ -244,7 +243,7 @@ def cmd_equilibrium(args) -> int:
         return EXIT_DIVERGED
     stability = classify_stability(rho)
     payload = {
-        "x_star": [float(v) for v in np.asarray(report.x_star)],
+        "x_star": report.x_star.tolist(),
         "residual": report.residual,
         "iterations": report.iterations,
         "converged": report.converged,

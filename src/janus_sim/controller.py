@@ -16,14 +16,15 @@ frozen at t = 0, run on the vector's floats.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import sub
+from typing import NamedTuple
 
 import numpy as np
 
-from .core_state import HEADER_DIM, PegBand, from_vector, reference_price, to_vector
+from .core_state import HEADER_DIM, PegBand, from_vector, reference_price, to_list
 
 
 class ControlError(ValueError):
@@ -77,8 +78,7 @@ class ControllerParams:
             raise ControlError("reward_min and reward_neutral must be at least -1")
 
 
-@dataclass(frozen=True)
-class ControlAction:
+class ControlAction(NamedTuple):
     fee_delta: float = 0.0
     reward_delta: float = 0.0
     rate_delta: float = 0.0
@@ -103,9 +103,10 @@ class EquilibriumReport:
     converged: bool
 
 
-def _clamp_delta(current: float, delta: float, lo: float, hi: float) -> float:
-    """Restrict a delta so the post-application parameter stays in bounds."""
-    return min(max(current + delta, lo), hi) - current
+def _clip(v: float, lo: float, hi: float) -> float:
+    """``min(max(v, lo), hi)``, NaN and signed zeros included, minus the call cost."""
+    v = lo if lo > v else v
+    return hi if hi < v else v
 
 
 def control_action(
@@ -131,13 +132,9 @@ def control_action(
     excess = abs(d) - eps
     sign = 1.0 if d > 0 else -1.0
     return ControlAction(
-        fee_delta=_clamp_delta(fee, -sign * params.fee_gain * excess, params.fee_min, params.fee_max),
-        reward_delta=_clamp_delta(
-            reward, sign * params.reward_gain * excess, params.reward_min, params.reward_max
-        ),
-        rate_delta=_clamp_delta(
-            rate, -sign * params.rate_gain * excess, params.rate_min, params.rate_max
-        ),
+        _clip(fee + -sign * params.fee_gain * excess, params.fee_min, params.fee_max) - fee,
+        _clip(reward + sign * params.reward_gain * excess, params.reward_min, params.reward_max) - reward,
+        _clip(rate + -sign * params.rate_gain * excess, params.rate_min, params.rate_max) - rate,
     )
 
 
@@ -146,9 +143,9 @@ def apply_action(
 ) -> tuple[float, float, float]:
     """Apply saturated deltas, then relax each parameter toward neutral."""
     fee, reward, rate = current
-    fee = min(max(fee + action.fee_delta, params.fee_min), params.fee_max)
-    reward = min(max(reward + action.reward_delta, params.reward_min), params.reward_max)
-    rate = min(max(rate + action.rate_delta, params.rate_min), params.rate_max)
+    fee = _clip(fee + action.fee_delta, params.fee_min, params.fee_max)
+    reward = _clip(reward + action.reward_delta, params.reward_min, params.reward_max)
+    rate = _clip(rate + action.rate_delta, params.rate_min, params.rate_max)
     leak = params.leak
     fee += leak * (params.fee_neutral - fee)
     reward += leak * (params.reward_neutral - reward)
@@ -156,44 +153,50 @@ def apply_action(
     return fee, reward, rate
 
 
-@functools.lru_cache(maxsize=64)
 def _map_constants(config):
-    """What the step map needs of a config, computed once per config: the
-    engine's core and units helper, the config's tables, the zero shock row,
-    the frozen reference price and the number of holdings.  Imported lazily
-    to keep the engine dependency one-directional."""
-    from . import sim_engine
+    """What the step map needs of a config: the engine's core and units
+    helper, the config's tables, the zero shock row, the frozen reference
+    price and the number of holdings.  Kept on the config, as its hash is: an
+    lru_cache would compare an equal config loaded again field by field on
+    every call.  The engine is imported lazily (one-directional dependency)."""
+    consts = config.__dict__.get("_map_constants")
+    if consts is None:
+        from . import sim_engine
 
-    return (
-        sim_engine._advance,
-        sim_engine.holding_units,
-        sim_engine._config_tables(config),
-        (0.0,) * sim_engine.shock_width(config),
-        reference_price(config.ref_policy, 0),
-        len(config.assets),
-    )
+        consts = (
+            sim_engine._advance,
+            sim_engine.holding_units,
+            sim_engine._config_tables(config),
+            (0.0,) * sim_engine.shock_width(config),
+            reference_price(config.ref_policy, 0),
+            len(config.assets),
+        )
+        object.__setattr__(config, "_map_constants", consts)
+    return consts
 
 
-def step_map(x, config) -> np.ndarray:
+def step_map(x, config):
     """One deterministic transition of the full system on the state vector
-    (the solver's map): vector in, successor vector out.
+    (the solver's map): vector in, successor vector out, a list (with no
+    numpy call) for a list and an ndarray of the same floats for an ndarray.
 
-    ``x`` is read under ``core_state``'s clamp rule; its holding units and
-    retired slots do not enter the step.  The step has zero shocks, zero
-    trend and a frozen clock (the stress clock at t = 0, the reference price
-    at ``reference_price(ref_policy, 0)``), so the map is autonomous.  The
-    successor holds the 9 header entries, the holding units derived from the
-    class books and the two retired zeros.
+    ``x`` is read under ``core_state``'s clamp rule (a wrong length raises
+    ``StateError``); its units and retired slots do not enter the step.  The
+    step has zero shocks, zero trend and a frozen clock (the stress clock at
+    t = 0, the reference price at ``reference_price(ref_policy, 0)``), so the
+    map is autonomous.  The successor holds the 9 header entries, the holding
+    units derived from the class books and the two retired zeros.
     """
     advance, units_of, tables, row, p_ref, n_holdings = _map_constants(config)
     head, _ = from_vector(x, n_holdings)
     out = advance(config, tables, row, 0.0, 0, p_ref, *head)
-    return to_vector(out[:HEADER_DIM], units_of(config, tables, out[4], out[5]))
+    succ = to_list(out[:HEADER_DIM], units_of(config, tables, out[4], out[5]))
+    return succ if isinstance(x, list) else np.array(succ)
 
 
 def find_fixed_point(
     F,
-    x0: np.ndarray,
+    x0,
     damping: float = 0.5,
     tol: float = 1e-10,
     max_iter: int = 10000,
@@ -201,32 +204,39 @@ def find_fixed_point(
     """Damped iteration x <- (1 - damping) x + damping F(x).
 
     Converged when the max-norm residual ||F(x) - x|| drops below tol.
-    Raises on non-finite iterates; otherwise reports the last iterate.
-    ``F`` maps a 1-D float array to a vector of the same length; the
-    iteration itself runs on Python floats, entry by entry with the same
-    expressions as the array form, so the iterates are the same bits.
+    Raises on non-finite iterates; otherwise reports the last iterate (an
+    ndarray).  ``F`` maps a 1-D float array to one of the same length, or a
+    list of floats to a list for a list ``x0`` (no numpy call in the loop).
+    The loop runs on floats as the array form would, so the bits are the same.
     """
     if not (0.0 < damping <= 1.0):
         raise ControlError("damping must lie in (0, 1]")
     if tol <= 0:
         raise ControlError("tolerance must be positive")
-    x = np.asarray(x0, dtype=float)
-    if x.ndim != 1:
-        raise ControlError("the start point must be a 1-D vector")
-    shape = x.shape
-    x = x.tolist()
+    if isinstance(x0, list):
+        x, G = [float(v) for v in x0], F
+    else:
+        a = np.asarray(x0, dtype=float)
+        if a.ndim != 1:
+            raise ControlError("the start point must be a 1-D vector")
+        x = a.tolist()
+
+        def G(x):
+            fx = np.asarray(F(np.array(x)), dtype=float)
+            if fx.shape != a.shape:
+                raise ControlError(f"the map returned shape {fx.shape}, expected {a.shape}")
+            return fx.tolist()
     keep = 1.0 - damping
     residual = math.inf
     for i in range(1, max_iter + 1):
-        fx_array = np.asarray(F(np.array(x)), dtype=float)
-        if fx_array.shape != shape:
-            raise ControlError(f"the map returned shape {fx_array.shape}, expected {shape}")
-        fx = fx_array.tolist()
+        fx = G(x)
+        if len(fx) != len(x):
+            raise ControlError(f"the map returned length {len(fx)}, expected {len(x)}")
         if not all(map(math.isfinite, fx)):
             raise SolverError(f"non-finite iterate at iteration {i}")
-        residual = float(max([abs(f - xi) for f, xi in zip(fx, x)]))
+        residual = float(max(map(abs, map(sub, fx, x))))
         if residual <= tol:
-            return EquilibriumReport(x_star=fx_array, residual=residual, iterations=i, converged=True)
+            return EquilibriumReport(x_star=np.array(fx), residual=residual, iterations=i, converged=True)
         x = [keep * xi + damping * f for xi, f in zip(x, fx)]
     return EquilibriumReport(x_star=np.array(x), residual=residual, iterations=max_iter, converged=False)
 

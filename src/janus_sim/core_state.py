@@ -3,9 +3,9 @@
 The protocol state is the vector's floats: the 9 header entries the engine's
 core steps and the holding units derived from the collateral books.  Its
 layout and clamp rule are written here and nowhere else: ``from_vector``
-reads a vector under the clamp rule into ``(head, units)`` and ``to_vector``
-writes one.  ``controller.step_map``, the solver's map, and the ``cli``'s
-start point use them.  Order (for k collateral holdings):
+reads a list or an array under the clamp rule into ``(head, units)``;
+``to_list`` and ``to_vector`` write one.  ``controller.step_map`` and the
+``cli``'s start point use them.  Order (for k collateral holdings):
 
     0            alpha price
     1            alpha supply
@@ -115,16 +115,18 @@ def band_bounds(p_ref: float, band: PegBand) -> tuple[float, float]:
 
 
 def from_vector(v, n_holdings: int) -> tuple[list[float], list[float]]:
-    """(head, units) of a state vector for ``n_holdings`` holdings, as
-    floats under the clamp rule; the retired slots are dropped.
-
-    ``head`` holds the 9 header entries, ``units`` the holding units.
-    """
-    a = np.asarray(v, dtype=float)
+    """(head, units) of a state vector (a list of floats, read with no numpy
+    call, or a 1-D float array-like) for ``n_holdings`` holdings, as floats
+    under the clamp rule; the retired slots are dropped.  ``head`` holds the
+    9 header entries, ``units`` the holding units."""
+    if isinstance(v, list):
+        vals, shape = v, (len(v),)
+    else:
+        a = np.asarray(v, dtype=float)
+        vals, shape = a.tolist(), a.shape
     dim = HEADER_DIM + n_holdings + RETIRED_DIM
-    if a.shape != (dim,):
-        raise StateError(f"state vector has length {a.shape}, expected ({dim},)")
-    vals = a.tolist()
+    if shape != (dim,):
+        raise StateError(f"state vector has length {shape}, expected ({dim},)")
     # ``0.0 if x <= 0.0 else x`` is np.maximum(x, 0.0) on one float:
     # Python's max(-0.0, 0.0) would keep the -0.0.
     head = [0.0 if x <= 0.0 else x for x in vals[:6]] + vals[6:HEADER_DIM]
@@ -132,6 +134,11 @@ def from_vector(v, n_holdings: int) -> tuple[list[float], list[float]]:
     return head, units
 
 
-def to_vector(head, units) -> np.ndarray:
+def to_list(head, units) -> list[float]:
     """The state vector of the 9 header entries and the holding units."""
-    return np.array([*head, *units, *(0.0,) * RETIRED_DIM])
+    return [*head, *units, *(0.0,) * RETIRED_DIM]
+
+
+def to_vector(head, units) -> np.ndarray:
+    """``to_list``'s vector as a float array."""
+    return np.array(to_list(head, units))

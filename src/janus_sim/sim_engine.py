@@ -205,9 +205,8 @@ class ScenarioConfig:
         cholesky_factor(self.correlation)  # PSD gate at construction
 
     def __hash__(self):
-        # Deep-frozen, so the field hash is memoized; the per-config caches
-        # (``_config_tables``, the step map's constants) hash the config on
-        # every lookup.
+        # Deep-frozen, so the field hash is memoized; ``_config_tables``'s
+        # cache hashes the config on every lookup.
         cached = self.__dict__.get("_hash")
         if cached is None:
             cached = hash(tuple(self.__dict__[f] for f in self.__dataclass_fields__))

@@ -7,8 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import janus_sim.cli as cli
 import janus_sim.sim_engine as sim_engine
 from janus_sim.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from janus_sim.config_io import config_to_dict, load_preset
@@ -306,9 +308,37 @@ class TestEquilibrium:
         # the quiescent scenario is already at its rest point
         assert data["x_star"][1] == pytest.approx(500.0, rel=1e-6)
 
-    def test_runaway_scenario_exits_diverged(self, tmp_path):
+    def test_runaway_scenario_exits_diverged(self, tmp_path, capsys):
         code = main(["equilibrium", "--preset", "ust_like", "--out", str(tmp_path / "o")])
         assert code == EXIT_DIVERGED
+        assert capsys.readouterr().err == (
+            "equilibrium solve did not converge; last residual 7.656367e-01\n"
+        )
+
+    @pytest.mark.parametrize("preset,digest", [
+        ("janus_baseline", "f9c2f4109389f5274a3cd5b71be2b206ad13e25fb2f7dfc12522e6cad1418eaf"),
+        ("usdc_like", "110468a9116b15ad10c4ab887613ee3c98409747c64aa4f90a70db304db246ff"),
+        ("dai_like", "efde929d4a17ed4004ae94ab506f5b06e79872bba5ace6fd126f4a0ecc543571"),
+        ("flatcoin_like", "7899e5f4f1b50a3796cd893079dcf0c72bc9243a96bf75ed0e779627390413d0"),
+    ])
+    def test_presets_keep_their_bytes(self, preset, digest, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["equilibrium", "--preset", preset, "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256((out / "equilibrium.json").read_bytes()).hexdigest() == digest
+
+    def test_solver_evaluates_the_map_on_lists(self, tmp_path, monkeypatch, capsys):
+        # The solve passes lists through ``cli.step_map``; only the Jacobian's
+        # 2 x 13 central-difference probes are arrays.
+        kinds = []
+        step_map = cli.step_map
+
+        def recording_step_map(x, config):
+            kinds.append(type(x))
+            return step_map(x, config)
+
+        monkeypatch.setattr(cli, "step_map", recording_step_map)
+        assert main(["equilibrium", "--preset", "janus_baseline", "--out", str(tmp_path)]) == EXIT_OK
+        assert kinds == [list] * 534 + [np.ndarray] * (2 * 13)
 
 
 class TestErrors:

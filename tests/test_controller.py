@@ -14,6 +14,7 @@ from janus_sim.controller import (
     Stability,
     apply_action,
     classify_stability,
+    _clip,
     control_action,
     find_fixed_point,
     jacobian_fd,
@@ -99,6 +100,15 @@ class TestApplyAction:
         assert out[1] == pytest.approx(0.03)
 
 
+def test_clip_is_min_max():
+    # the bounds' and value's order of comparison decides NaN and -0.0 vs 0.0
+    special = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 0.05, 5e-324]
+    for v in special:
+        for lo in special:
+            for hi in special:
+                assert repr(_clip(v, lo, hi)) == repr(min(max(v, lo), hi))
+
+
 class TestFixedPoint:
     def test_affine_contractions_converge(self):
         rng = np.random.default_rng(2024)
@@ -134,6 +144,22 @@ class TestFixedPoint:
     def test_rejects_a_map_that_changes_the_length(self):
         with pytest.raises(ControlError):
             find_fixed_point(lambda x: np.append(x, 0.0), np.zeros(2))
+        with pytest.raises(ControlError):
+            find_fixed_point(lambda x: x + [0.0], [0.0, 0.0])
+        with pytest.raises(ControlError):
+            find_fixed_point(lambda x: x[:1], [0.0, 0.0])
+
+    def test_list_start_point_maps_lists(self):
+        seen = []
+
+        def F(x):
+            seen.append(type(x))
+            return [0.5 * x[0] + 1.0, 0.25 * x[1]]
+
+        rep = find_fixed_point(F, [0.0, 4.0])
+        assert rep.converged and type(rep.x_star) is np.ndarray
+        assert rep.x_star == pytest.approx([2.0, 0.0], abs=1e-9)
+        assert set(seen) == {list}
 
 
 def numpy_fixed_point(F, x0, damping=0.5, tol=1e-10, max_iter=10000):
@@ -154,19 +180,25 @@ def numpy_fixed_point(F, x0, damping=0.5, tol=1e-10, max_iter=10000):
 
 class TestFixedPointOracle:
     """The float loop gives the array loop's bits: same iterates, same
-    residual, same iteration count, same failure."""
+    residual, same iteration count, same failure, whether it is given an
+    array start point and map or a list start point and a map on lists."""
 
     @staticmethod
     def same(F, x0, **kw):
-        def run(solver):
+        def on_lists(x):
+            assert type(x) is list
+            return F(np.array(x)).tolist()
+
+        def run(solver, F, x0):
             try:
                 rep = solver(F, x0, **kw)
             except SolverError as exc:
                 return str(exc)
             return (rep.x_star.tobytes(), repr(rep.residual), rep.iterations, rep.converged)
 
-        got, want = run(find_fixed_point), run(numpy_fixed_point)
-        assert got == want
+        want = run(numpy_fixed_point, F, x0)
+        assert run(find_fixed_point, F, x0) == want
+        assert run(find_fixed_point, on_lists, x0.tolist()) == want
 
     def test_affine_contractions(self):
         rng = np.random.default_rng(77)
@@ -198,6 +230,16 @@ class TestFixedPointOracle:
             self.same(lambda x: x * 1e300, np.array([1.0]), max_iter=10)
             self.same(lambda x: x * 1e300, np.array([1.0, 2.0]), damping=0.2, max_iter=10)
             self.same(lambda x: np.where(x > 0.4, np.nan, x + 0.3), np.zeros(3), damping=1.0)
+
+    def test_nonfinite_list_map(self):
+        # a map on plain floats: the NaN appears at iteration 3
+        def F(x):
+            return [math.nan if v > 0.4 else v + 0.3 for v in x]
+
+        with pytest.raises(SolverError, match="^non-finite iterate at iteration 3$"):
+            find_fixed_point(F, [0.0, 0.0, 0.0], damping=1.0)
+        with pytest.raises(SolverError, match="^non-finite iterate at iteration 3$"):
+            find_fixed_point(lambda x: np.array(F(x.tolist())), np.zeros(3), damping=1.0)
 
 
 class TestJacobian:

@@ -15,6 +15,7 @@ from janus_sim.core_state import (
     decentralization,
     from_vector,
     reference_price,
+    to_list,
     to_vector,
 )
 from janus_sim.sim_engine import ConfigError, InitialConditions, initial_state
@@ -80,6 +81,8 @@ class TestVectorMapping:
         v = to_vector(HEAD, UNITS)
         assert v.shape == (13,)
         assert from_vector(v, 2) == (HEAD, UNITS)  # nothing to clamp
+        assert to_list(HEAD, UNITS) == v.tolist()
+        assert from_vector(to_list(HEAD, UNITS), 2) == (HEAD, UNITS)
 
     def test_retired_slots_are_zero_and_ignored(self):
         v = to_vector(HEAD, UNITS)
@@ -110,16 +113,19 @@ class TestVectorMapping:
 
     def test_clamp_matches_numpy_maximum(self):
         # -0.0 becomes +0.0 (as np.maximum gives; Python's max would keep
-        # -0.0), NaN passes through; rates keep their sign, zero or not
+        # -0.0), NaN passes through; rates keep their sign, zero or not;
+        # on an array and on a list alike
         v = np.array([-0.0, np.nan, 2.0, -3.0, -0.0, 1.0, -0.0, -0.5, 0.25, -0.0, 4.0, 0.0, 0.0])
-        head, units = from_vector(v, 2)
         expected = np.where(np.arange(11) // 3 == 2, v[:11], np.maximum(v[:11], 0.0))
-        assert [repr(x) for x in head + units] == [repr(float(x)) for x in expected]
-        assert repr(head[0]) == "0.0" and repr(head[6]) == "-0.0"
+        for form in (v, v.tolist()):
+            head, units = from_vector(form, 2)
+            assert [repr(x) for x in head + units] == [repr(float(x)) for x in expected]
+            assert repr(head[0]) == "0.0" and repr(head[6]) == "-0.0"
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(StateError):
-            from_vector(np.zeros(3), 2)
+        for v in (np.zeros(3), np.zeros((13, 1)), [0.0] * 3, [0.0] * 14):
+            with pytest.raises(StateError):
+                from_vector(v, 2)
 
     @given(st.lists(st.floats(0.0, 1e6), min_size=13, max_size=13))
     def test_arbitrary_nonnegative_vectors_round_trip(self, entries):

@@ -17,8 +17,8 @@ import pytest
 
 from janus_sim.config_io import PRESET_NAMES, load_preset
 from janus_sim.controller import SolverError, find_fixed_point, step_map
-from janus_sim.core_state import HEADER_DIM, to_vector
-from janus_sim.sim_engine import StressKind, StressOverlay, initial_state
+from janus_sim.core_state import HEADER_DIM, StateError, to_vector
+from janus_sim.sim_engine import ScenarioConfig, StressKind, StressOverlay, initial_state
 
 RATES = [6, 7, 8]
 
@@ -84,20 +84,39 @@ def variants():
 VARIANTS = variants()
 
 
-@pytest.mark.parametrize("name,config", VARIANTS, ids=[n for n, _ in VARIANTS])
-def test_step_map_matches_state_route(name, config):
+def inputs(name, config):
+    """The start point, the fixed point (the start point if the solve
+    diverges) and 120 probes around them."""
     x0 = to_vector(*initial_state(config))
     try:
         x_star = find_fixed_point(lambda x: step_map(x, config), x0).x_star
     except SolverError:
         x_star = x0
     rng = np.random.default_rng(zlib.crc32(name.encode()))
-    inputs = [x0, x_star] + probes(rng, [x0, x_star], 120)
-    assert len(inputs) == 122
+    return [x0, x_star] + probes(rng, [x0, x_star], 120)
+
+
+@pytest.mark.parametrize("name,config", VARIANTS, ids=[n for n, _ in VARIANTS])
+def test_step_map_matches_state_route(name, config):
+    xs = inputs(name, config)
+    assert len(xs) == 122
     digest = hashlib.sha256()
-    for x in inputs:
+    for x in xs:
         digest.update((repr(outcome(lambda: step_map(x, config))) + "\n").encode())
     assert digest.hexdigest() == STATE_ROUTE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name,config", VARIANTS, ids=[n for n, _ in VARIANTS])
+def test_list_form_matches_array_form(name, config):
+    xs = inputs(name, config)
+    # a head of -0.0 and negative monetary entries, where the clamp rule acts
+    clamped = xs[0].copy()
+    clamped[:6] = [-0.0, -1.0, -0.0, -2.5, -0.0, -3.0]
+    for x in xs + [clamped]:
+        want = outcome(lambda: step_map(x, config))
+        got = step_map(x.tolist(), config)
+        assert type(got) is list and all(type(v) is float for v in got)
+        assert [repr(v) for v in got] == want
 
 
 def test_step_map_ignores_units_and_retired_slots():
@@ -110,5 +129,21 @@ def test_step_map_ignores_units_and_retired_slots():
 
 def test_step_map_rejects_wrong_length():
     config = load_preset("janus_baseline")
-    with pytest.raises(ValueError):
-        step_map(np.zeros(3), config)
+    for x in (np.zeros(3), [0.0] * 3, [0.0] * 14):
+        with pytest.raises(StateError):
+            step_map(x, config)
+
+
+def test_reloaded_config_is_not_compared_on_every_call(monkeypatch):
+    # The map's constants live on the config object: a cache keyed by the
+    # config would compare an equal config loaded again field by field on
+    # every call.
+    first, again = load_preset("janus_baseline"), load_preset("janus_baseline")
+    x = to_vector(*initial_state(first)).tolist()
+    assert step_map(x, first) == step_map(x, again)
+    compared = []
+    eq = ScenarioConfig.__eq__
+    monkeypatch.setattr(ScenarioConfig, "__eq__", lambda a, b: compared.append(b) or eq(a, b))
+    for _ in range(100):
+        step_map(x, again)
+    assert compared == []
