@@ -29,7 +29,6 @@ from .controller import (
     find_fixed_point,
     jacobian_fd,
     spectral_radius,
-    step_map,
 )
 from .core_state import (
     GovernanceDistribution,
@@ -88,6 +87,7 @@ from .sim_engine import (
     monte_carlo,
     pareto_front,
     simulate_path,
+    step_map,
 )
 
 __version__ = "0.1.0"

@@ -30,7 +30,6 @@ from .controller import (
     find_fixed_point,
     jacobian_fd,
     spectral_radius,
-    step_map,
 )
 from .core_state import to_list
 # Unused here, but the benchmark tracer patches them; it counts the solver's
@@ -46,6 +45,7 @@ from .sim_engine import (
     monte_carlo,
     path_summary,
     simulate_path,
+    step_map,
 )
 
 EXIT_OK = 0

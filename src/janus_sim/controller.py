@@ -8,10 +8,9 @@ is recorded in traces and the state vector but drives no other quantity.
 
 The same module hosts the damped fixed-point solver, finite-difference
 Jacobian, and spectral radius used to classify local stability of the
-one-step map.  The map, ``step_map``, takes a state vector (the layout of
-``core_state``) and returns the successor vector: one step of the engine's
-core, ``sim_engine._advance``, with zero shocks, zero trend and the clock
-frozen at t = 0, run on the vector's floats.
+one-step map.  They take the map as a function; the engine's map,
+``sim_engine.step_map``, is one zero-shock step of its core on a state
+vector.  This module imports nothing of the engine, which imports it.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core_state import HEADER_DIM, PegBand, from_vector, reference_price, to_list
+from .core_state import PegBand
 
 
 class ControlError(ValueError):
@@ -151,47 +150,6 @@ def apply_action(
     reward += leak * (params.reward_neutral - reward)
     rate += leak * (params.rate_neutral - rate)
     return fee, reward, rate
-
-
-def _map_constants(config):
-    """What the step map needs of a config: the engine's core and units
-    helper, the config's tables, the zero shock row, the frozen reference
-    price and the number of holdings.  Kept on the config, as its hash is: an
-    lru_cache would compare an equal config loaded again field by field on
-    every call.  The engine is imported lazily (one-directional dependency)."""
-    consts = config.__dict__.get("_map_constants")
-    if consts is None:
-        from . import sim_engine
-
-        consts = (
-            sim_engine._advance,
-            sim_engine.holding_units,
-            sim_engine._config_tables(config),
-            (0.0,) * sim_engine.shock_width(config),
-            reference_price(config.ref_policy, 0),
-            len(config.assets),
-        )
-        object.__setattr__(config, "_map_constants", consts)
-    return consts
-
-
-def step_map(x, config):
-    """One deterministic transition of the full system on the state vector
-    (the solver's map): vector in, successor vector out, a list (with no
-    numpy call) for a list and an ndarray of the same floats for an ndarray.
-
-    ``x`` is read under ``core_state``'s clamp rule (a wrong length raises
-    ``StateError``); its units and retired slots do not enter the step.  The
-    step has zero shocks, zero trend and a frozen clock (the stress clock at
-    t = 0, the reference price at ``reference_price(ref_policy, 0)``), so the
-    map is autonomous.  The successor holds the 9 header entries, the holding
-    units derived from the class books and the two retired zeros.
-    """
-    advance, units_of, tables, row, p_ref, n_holdings = _map_constants(config)
-    head, _ = from_vector(x, n_holdings)
-    out = advance(config, tables, row, 0.0, 0, p_ref, *head)
-    succ = to_list(out[:HEADER_DIM], units_of(config, tables, out[4], out[5]))
-    return succ if isinstance(x, list) else np.array(succ)
 
 
 def find_fixed_point(

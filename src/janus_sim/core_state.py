@@ -4,7 +4,7 @@ The protocol state is the vector's floats: the 9 header entries the engine's
 core steps and the holding units derived from the collateral books.  Its
 layout and clamp rule are written here and nowhere else: ``from_vector``
 reads a list or an array under the clamp rule into ``(head, units)``;
-``to_list`` and ``to_vector`` write one.  ``controller.step_map`` and the
+``to_list`` and ``to_vector`` write one.  ``sim_engine.step_map`` and the
 ``cli``'s start point use them.  Order (for k collateral holdings):
 
     0            alpha price

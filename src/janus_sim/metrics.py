@@ -9,11 +9,11 @@ minus the Monte Carlo failure probability with a Wilson interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 from .core_state import GovernanceDistribution, decentralization
-from .sim_engine import EnsembleSummary, FailureDef, ScenarioConfig, SimTrace, monte_carlo
+from .sim_engine import EnsembleSummary, FailureDef, ScenarioConfig, SimTrace, _inflow_r2, monte_carlo
 
 
 class MetricError(ValueError):
@@ -43,7 +43,6 @@ class TrilemmaPoint:
     e: float
     s: float
     s_ci: tuple[float, float]
-    provenance: str = ""
 
 
 @dataclass(frozen=True)
@@ -74,8 +73,6 @@ def failure_probability(
     """Monte Carlo failure fraction and its 95% Wilson interval."""
     if n_paths < 1:
         raise MetricError("need at least one path")
-    from dataclasses import replace
-
     if failure is not None:
         config = replace(config, failure=failure)
     if base_seed is not None:
@@ -100,8 +97,6 @@ def inflow_dependence(trace: SimTrace) -> float:
     """
     if len(trace) < 30:
         raise MetricError("trace too short for inflow regression (need >= 30 steps)")
-    from .sim_engine import _inflow_r2
-
     mid = 0.5 * (trace.array("p_a") + trace.array("p_omega"))
     return _inflow_r2(mid, trace.array("net_inflow"))
 
@@ -130,9 +125,7 @@ def ponzi_report(summary: EnsembleSummary) -> PonziReport:
     return PonziReport(anchor_margin=margin, inflow_dependence=dep, verdict=ponzi_verdict(margin, dep))
 
 
-def trilemma_point(
-    gov: GovernanceDistribution, summary: EnsembleSummary, provenance: str = ""
-) -> TrilemmaPoint:
+def trilemma_point(gov: GovernanceDistribution, summary: EnsembleSummary) -> TrilemmaPoint:
     """Assemble (D, E, S) from governance and an ensemble summary."""
     if summary.n_paths < 1:
         raise MetricError("ensemble must contain at least one path")
@@ -142,5 +135,4 @@ def trilemma_point(
         e=summary.mean_efficiency,
         s=1.0 - summary.p_fail,
         s_ci=(1.0 - hi, 1.0 - lo),
-        provenance=provenance,
     )

@@ -35,9 +35,7 @@ from . import sim_engine
 from .sim_engine import (
     PathSummary,
     ScenarioConfig,
-    _config_tables,
     _reduce_path,
-    _reference_track,
     _stress_terms,
     initial_state,
     shock_width,
@@ -117,9 +115,8 @@ def _mint_paths(policy, on, value, p_a, p_o, s_a, s_o, cv, rv, crypto_share):
 
 
 def _pay_out_paths(on, take, cv, rv, total):
-    """Both books pay ``take`` pro rata where ``on`` holds and they hold
-    anything; a book that rounding would overdraw is left empty (the tail
-    of ``protocol.redeem`` and ``protocol.liquidate``)."""
+    """``protocol._pay_out`` where ``on`` holds, with ``take`` already
+    capped at ``total``, the books' sum."""
     on = on & (total > 0)
     cv_paid = cv - take * (cv / total)
     rv_paid = rv - take * (rv / total)
@@ -167,20 +164,20 @@ def _liquidate_paths(on, s_a, s_o, cv, rv, p_ref, min_ratio, penalty, omega_seni
     return s_a, s_o, cv, rv
 
 
-def _advance_paths(config, tables, z, trend, t, p_ref, p_a, s_a, p_o, s_o, cv, rv,
+def _advance_paths(config, z, trend, t, p_ref, p_a, s_a, p_o, s_o, cv, rv,
                    fee_rate, reward_rate, var_rate):
     """``_advance`` on arrays of paths that share the clock ``t``; ``z``
     holds one shock row per path.  Returns ``_advance``'s ten arrays and a
     mask of the paths on which ``_advance`` would have raised."""
-    L, drift, _, crypto_mask, wc, _, _ = tables
-    n = len(drift)
+    tb = config.tables
+    n = len(tb.drift)
     eta = z[:, n]
-    sigma, crash_drop, rwa_rate, base = _stress_terms(config, tables, t)
+    sigma, crash_drop, rwa_rate, base = _stress_terms(config, t)
     raised = np.zeros(len(p_a), dtype=bool)
 
     # -- 2: collateral market move
     fc, fr = _book_factors_paths(
-        z, L, drift, sigma, config.collateral_weights, crypto_mask, raised
+        z, tb.L, tb.drift, sigma, config.collateral_weights, tb.crypto_mask, raised
     )
     cv = cv * (fc * crash_drop)
     rv = rv * fr
@@ -201,7 +198,7 @@ def _advance_paths(config, tables, z, trend, t, p_ref, p_a, s_a, p_o, s_o, cv, r
     net_inflow = flow_a + flow_o
 
     s_a, s_o, cv, rv = _mint_paths(
-        policy, net_inflow > 0, net_inflow, p_a, p_o, s_a, s_o, cv, rv, wc
+        policy, net_inflow > 0, net_inflow, p_a, p_o, s_a, s_o, cv, rv, tb.wc
     )
     value = -net_inflow
     a_red = _min(np.where(p_a > 0, value * w_a / p_a, 0.0), s_a)
@@ -322,7 +319,6 @@ def simulate_batch(config: ScenarioConfig, paths: range) -> PathBatch:
     arrays."""
     n_paths = len(paths)
     horizon = config.horizon
-    tables = _config_tables(config)
     width = shock_width(config)
     used = len(config.assets) + 3  # the spare shock column is never read
     steps = np.empty((horizon, n_paths, used))
@@ -348,7 +344,8 @@ def simulate_batch(config: ScenarioConfig, paths: range) -> PathBatch:
     out_streak = np.zeros(n_paths, dtype=np.int64)
     failed = np.zeros(n_paths, dtype=bool)
     live = np.arange(n_paths)  # batch positions of the paths still running
-    p_refs, los, his = _reference_track(config)
+    tb = config.tables
+    p_refs, los, his = tb.p_refs, tb.band_lo, tb.band_hi
     grace = config.failure.grace
     floor = config.failure.floor
     with np.errstate(all="ignore"):
@@ -358,7 +355,7 @@ def simulate_batch(config: ScenarioConfig, paths: range) -> PathBatch:
             lo = los[t]
             hi = his[t]
             *state, net_inflow, raised = _advance_paths(
-                config, tables, steps[t, at], trend, t, p_ref, *state
+                config, steps[t, at], trend, t, p_ref, *state
             )
             p_a, s_a, p_o, s_o, cv, rv = state[:6]
             c_total = cv + rv
@@ -426,7 +423,7 @@ def batch_path_summary(batch: PathBatch, config: ScenarioConfig, path_index: int
     j = batch.paths.index(path_index)
     n = int(batch.lengths[j])
     eff, mid, inflow, supply_value = (np.ascontiguousarray(batch.steps[:n, j, k]) for k in range(4))
-    p_ref = _reference_track(config)[0][n - 1]
+    p_ref = config.tables.p_refs[n - 1]
     return _reduce_path(
         path_index, bool(batch.failed[j]), batch.in_band[:n, j], eff, mid, inflow, supply_value,
         (batch.p_a[j], batch.p_omega[j], p_ref, batch.crypto[j], batch.rwa[j]),

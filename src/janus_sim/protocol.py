@@ -96,13 +96,23 @@ def redeem(
     fill = payout / gross if gross > 0 else 0.0
     s_a = max(s_a - a_red * fill, 0.0)
     s_o = max(s_o - o_red * fill, 0.0)
+    cv, rv = _pay_out(payout, cv, rv)
+    return s_a, s_o, cv, rv
+
+
+def _pay_out(take: float, cv: float, rv: float) -> tuple[float, float]:
+    """Both books pay ``take``, capped at what they hold, pro rata; a book
+    that rounding would overdraw is left empty.  Returns (cv, rv).  The tail
+    of ``redeem`` and ``liquidate``; ``path_batch._pay_out_paths`` is its
+    twin on arrays."""
+    total = cv + rv
     if total > 0:
-        take = min(payout, total)
+        take = min(take, total)
         cv -= take * (cv / total)
         rv -= take * (rv / total)
         if cv < 0.0 or rv < 0.0:  # rounding overdrew a book the payout empties
             cv, rv = max(cv, 0.0), max(rv, 0.0)
-    return s_a, s_o, cv, rv
+    return cv, rv
 
 
 def collateral_ratio(c_total: float, supply: float, p_ref: float) -> float:
@@ -156,13 +166,7 @@ def liquidate(
         o_burn = frac * s_o
     s_a = max(s_a - a_burn, 0.0)
     s_o = max(s_o - o_burn, 0.0)
-    total = cv + rv
-    take = min(released, total)
-    if total > 0:
-        cv -= take * (cv / total)
-        rv -= take * (rv / total)
-        if cv < 0.0 or rv < 0.0:  # rounding overdrew a book the payout empties
-            cv, rv = max(cv, 0.0), max(rv, 0.0)
+    cv, rv = _pay_out(released, cv, rv)
     return s_a, s_o, cv, rv
 
 

@@ -15,12 +15,14 @@ One step executes a frozen sub-step order:
 Sub-steps 2-7 are written once, in ``_advance``: a core that takes and
 returns the step's numbers as plain floats (prices, supplies, the two
 collateral books, the three controller rates) and calls the mechanic
-functions of ``market``, ``protocol`` and ``controller``.  It has two
-callers.  ``simulate_path`` keeps a path's floats in locals, starting from
-``initial_state``, runs the core on them step by step and appends each
-record straight to the trace columns.  The equilibrium solver's
-``controller.step_map`` runs the core on the floats of a state vector and
-takes the holding units from ``holding_units``.
+functions of ``market``, ``protocol`` and ``controller``.  The constants it
+reads of a config (Cholesky rows, drift, vol, class shares, the reference
+price track) are the config's ``tables``, built once per config object.  The
+core has two callers.  ``simulate_path`` keeps a path's floats in locals,
+starting from ``initial_state``, runs the core on them step by step and
+appends each record straight to the trace columns.  ``step_map``, the map
+of ``controller``'s equilibrium solver, runs the core on the floats of a
+state vector and takes the holding units from ``holding_units``.
 
 The step has a second form for ensembles: ``path_batch`` runs sub-steps 2-7
 and the record rules on NumPy arrays over a range of paths, bit-identical
@@ -52,18 +54,21 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .controller import NO_ACTION, ControllerParams, apply_action, control_action
 from .core_state import (
+    HEADER_DIM,
     GovernanceDistribution,
     PegBand,
     ReferencePricePolicy,
     band_bounds,
     decentralization,
+    from_vector,
     reference_price,
+    to_list,
 )
 from .market import (
     AssetKind,
@@ -148,6 +153,23 @@ class InitialConditions:
                 raise ConfigError(f"initial {name} must be non-negative")
 
 
+class StepTables(NamedTuple):
+    """A config's constants for the step, ``ScenarioConfig.tables``."""
+
+    L: tuple  # Cholesky rows of the correlation; then, in config.assets order,
+    drift: tuple  # each asset's drift, vol and whether it is crypto
+    vol: tuple
+    crypto_mask: tuple
+    wc: float  # the crypto and RWA shares of the collateral weights
+    wr: float
+    rwa_rate: float  # the RWA book's yield rate
+    p_refs: tuple  # reference price and band bounds after each step 1..horizon
+    band_lo: tuple
+    band_hi: tuple
+    zero_row: tuple  # step_map's shock row and reference price (t = 0)
+    p_ref0: float
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything needed for a deterministic run."""
@@ -204,14 +226,32 @@ class ScenarioConfig:
             raise ConfigError("stress window must fit inside the horizon")
         cholesky_factor(self.correlation)  # PSD gate at construction
 
-    def __hash__(self):
-        # Deep-frozen, so the field hash is memoized; ``_config_tables``'s
-        # cache hashes the config on every lookup.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash(tuple(self.__dict__[f] for f in self.__dataclass_fields__))
-            object.__setattr__(self, "_hash", cached)
-        return cached
+    @functools.cached_property
+    def tables(self) -> StepTables:
+        """The step's constants, built on first use and kept on this object
+        (the config is deeply frozen)."""
+        L = tuple(tuple(row) for row in cholesky_factor(self.correlation))
+        crypto_mask = tuple(s.kind is AssetKind.CRYPTO for s in self.assets)
+        w = self.collateral_weights
+        wc = sum(wi for wi, c in zip(w, crypto_mask) if c)
+        wr = 1.0 - wc
+        yld = sum(wi * s.yield_rate for wi, s in zip(w, self.assets) if s.kind is AssetKind.RWA)
+        p_refs = tuple(reference_price(self.ref_policy, t) for t in range(1, self.horizon + 1))
+        bounds = [band_bounds(p_ref, self.band) for p_ref in p_refs]
+        return StepTables(
+            L=L,
+            drift=tuple(s.drift for s in self.assets),
+            vol=tuple(s.vol for s in self.assets),
+            crypto_mask=crypto_mask,
+            wc=wc,
+            wr=wr,
+            rwa_rate=yld / wr if wr > 0 else 0.0,
+            p_refs=p_refs,
+            band_lo=tuple(lo for lo, _ in bounds),
+            band_hi=tuple(hi for _, hi in bounds),
+            zero_row=(0.0,) * shock_width(self),
+            p_ref0=reference_price(self.ref_policy, 0),
+        )
 
 
 TRACE_COLUMNS = (
@@ -286,53 +326,28 @@ def initial_state(config: ScenarioConfig) -> tuple[list[float], list[float]]:
     return head, [w * c_total for w in config.collateral_weights]
 
 
-@functools.lru_cache(maxsize=64)
-def _config_tables(config: ScenarioConfig):
-    """Per-config constants for the inner step loop.
-
-    ScenarioConfig is deeply frozen, so these are computed once per scenario
-    rather than once per step.
-    """
-    L = tuple(tuple(row) for row in cholesky_factor(config.correlation))
-    drift = tuple(s.drift for s in config.assets)
-    sigma = tuple(s.vol for s in config.assets)
-    crypto_mask = tuple(s.kind is AssetKind.CRYPTO for s in config.assets)
-    w = config.collateral_weights
-    wc = sum(wi for wi, c in zip(w, crypto_mask) if c)
-    wr = 1.0 - wc
-    yld = sum(wi * s.yield_rate for wi, s in zip(w, config.assets) if s.kind is AssetKind.RWA)
-    rwa_rate = yld / wr if wr > 0 else 0.0
-    return L, drift, sigma, crypto_mask, wc, wr, rwa_rate
-
-
-@functools.lru_cache(maxsize=64)
-def _reference_track(config: ScenarioConfig):
-    """Reference price and band bounds after each step 1..horizon of a path."""
-    p_refs = tuple(reference_price(config.ref_policy, t) for t in range(1, config.horizon + 1))
-    bounds = [band_bounds(p_ref, config.band) for p_ref in p_refs]
-    return p_refs, tuple(lo for lo, _ in bounds), tuple(hi for _, hi in bounds)
-
-
-def holding_units(config: ScenarioConfig, tables: tuple, cv: float, rv: float) -> list[float]:
+def holding_units(config: ScenarioConfig, cv: float, rv: float) -> list[float]:
     """Units of each holding, in ``config.assets`` order (the order of the
     units in ``initial_state`` and in the state vector): its weight's share
     of its own class book.
 
     Positional: an asset's id need not equal its position in
-    ``config.assets``.  ``tables`` is ``_config_tables(config)``.
+    ``config.assets``.
     """
-    _, _, _, crypto_mask, wc, wr, _ = tables
+    tb = config.tables
+    wc, wr = tb.wc, tb.wr
     return [
         (cv * w / wc if wc > 0 else 0.0) if is_crypto else (rv * w / wr if wr > 0 else 0.0)
-        for w, is_crypto in zip(config.collateral_weights, crypto_mask)
+        for w, is_crypto in zip(config.collateral_weights, tb.crypto_mask)
     ]
 
 
-def _stress_terms(config: ScenarioConfig, tables: tuple, t: int) -> tuple:
+def _stress_terms(config: ScenarioConfig, t: int) -> tuple:
     """The step's asset vols, crash factor, RWA yield rate and base inflow
     under the stress overlay at clock ``t``: (sigma, crash_drop, rwa_rate,
-    base).  ``tables`` is ``_config_tables(config)``."""
-    _, _, sigma, crypto_mask, _, _, rwa_rate = tables
+    base)."""
+    tb = config.tables
+    sigma, rwa_rate = tb.vol, tb.rwa_rate
     base = config.demand.base_inflow
     overlay = config.stress
     crash_drop = 1.0
@@ -340,9 +355,7 @@ def _stress_terms(config: ScenarioConfig, tables: tuple, t: int) -> tuple:
         if overlay.kind is StressKind.CRYPTO_CRASH:
             if t == overlay.onset:
                 crash_drop = 1.0 - overlay.magnitude
-            sigma = tuple(
-                s * 2.0 if c else s for s, c in zip(sigma, crypto_mask)
-            )
+            sigma = tuple(s * 2.0 if c else s for s, c in zip(sigma, tb.crypto_mask))
         elif overlay.kind is StressKind.RWA_SHORTFALL:
             rwa_rate *= 1.0 - overlay.magnitude
         else:  # demand collapse
@@ -352,7 +365,6 @@ def _stress_terms(config: ScenarioConfig, tables: tuple, t: int) -> tuple:
 
 def _advance(
     config: ScenarioConfig,
-    tables: tuple,
     row: list[float],
     trend: float,
     t: int,
@@ -369,19 +381,19 @@ def _advance(
 ) -> tuple[float, ...]:
     """Sub-steps 2-7 on plain floats: the engine's one copy of the step.
 
-    ``tables`` is ``_config_tables(config)``, ``row`` the step's shock row,
-    ``t`` the stress clock and ``p_ref`` the reference price after the step.
+    ``row`` is the step's shock row, ``t`` the stress clock and ``p_ref``
+    the reference price after the step.
     Returns (p_a, s_a, p_o, s_o, crypto_value, rwa_value, fee_rate,
     reward_rate, var_rate, net_inflow), supplies and books floored at zero.
     Raises OverflowError when a price blows up.
     """
-    L, drift, _, crypto_mask, wc, _, _ = tables
-    n = len(drift)
+    tb = config.tables
+    n = len(tb.drift)
     eta = row[n]
-    sigma, crash_drop, rwa_rate, base = _stress_terms(config, tables, t)
+    sigma, crash_drop, rwa_rate, base = _stress_terms(config, t)
 
     # -- 2: collateral market move -------------------------------------------
-    fc, fr = book_return_factors(row, L, drift, sigma, config.collateral_weights, crypto_mask)
+    fc, fr = book_return_factors(row, tb.L, tb.drift, sigma, config.collateral_weights, tb.crypto_mask)
     cv *= fc * crash_drop
     rv *= fr
 
@@ -401,7 +413,7 @@ def _advance(
     net_inflow = flow_a + flow_o
 
     if net_inflow > 0:
-        s_a, s_o, cv, rv = mint(policy, net_inflow, p_a, p_o, s_a, s_o, cv, rv, wc)
+        s_a, s_o, cv, rv = mint(policy, net_inflow, p_a, p_o, s_a, s_o, cv, rv, tb.wc)
     elif net_inflow < 0:
         value = -net_inflow
         a_red = min(value * w_a / p_a if p_a > 0 else 0.0, s_a)
@@ -469,6 +481,27 @@ def _advance(
     )
 
 
+def step_map(x, config: ScenarioConfig):
+    """One deterministic transition of the full system on the state vector
+    (the equilibrium solver's map): vector in, successor vector out, a list
+    (with no numpy call) for a list and an ndarray of the same floats for an
+    ndarray.
+
+    ``x`` is read under ``core_state``'s clamp rule (a wrong length raises
+    ``StateError``); its units and retired slots do not enter the step.  The
+    step is ``_advance`` with zero shocks, zero trend and a frozen clock (the
+    stress clock at t = 0, the reference price at ``reference_price(ref_policy,
+    0)``), so the map is autonomous.  The successor holds the 9 header
+    entries, the holding units derived from the class books and the two
+    retired zeros.
+    """
+    tb = config.tables
+    head, _ = from_vector(x, len(config.assets))
+    out = _advance(config, tb.zero_row, 0.0, 0, tb.p_ref0, *head)
+    succ = to_list(out[:HEADER_DIM], holding_units(config, out[4], out[5]))
+    return succ if isinstance(x, list) else np.array(succ)
+
+
 def simulate_path(config: ScenarioConfig, path_index: int | range) -> SimTrace | PathBatch:
     """Run one deterministic path; identical inputs give identical traces.
 
@@ -489,8 +522,8 @@ def simulate_path(config: ScenarioConfig, path_index: int | range) -> SimTrace |
         return simulate_batch(config, path_index)
     (p_a, s_a, p_o, s_o, cv, rv, fee_rate, reward_rate, var_rate), _ = initial_state(config)
     rows = shock_block(config.seed, path_index, config.horizon, shock_width(config)).tolist()
-    tables = _config_tables(config)
-    p_refs, los, his = _reference_track(config)
+    tb = config.tables
+    p_refs, los, his = tb.p_refs, tb.band_lo, tb.band_hi
     grace = config.failure.grace
     floor = config.failure.floor
 
@@ -507,7 +540,7 @@ def simulate_path(config: ScenarioConfig, path_index: int | range) -> SimTrace |
         hi = his[t]
         try:
             p_a, s_a, p_o, s_o, cv, rv, fee_rate, reward_rate, var_rate, net_inflow = _advance(
-                config, tables, rows[t], trend, t, p_ref,
+                config, rows[t], trend, t, p_ref,
                 p_a, s_a, p_o, s_o, cv, rv, fee_rate, reward_rate, var_rate,
             )
         except OverflowError:

@@ -49,6 +49,32 @@ def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+def imported_modules(source: str) -> set[str]:
+    """Every module an ``import`` anywhere in ``source`` names, at any level
+    (``from . import x`` names ``x``, ``from .a import b`` names ``a`` and
+    ``a.b``), relative dots dropped."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names |= {base} | {f"{base}.{alias.name}".lstrip(".") for alias in node.names}
+    return names - {""}
+
+
+def test_controller_imports_nothing_of_the_engine():
+    # The engine runs the feedback law; the solver takes the engine's map as
+    # a function.  The dependency runs one way.
+    source = (ROOT / "src" / "janus_sim" / "controller.py").read_text()
+    assert [m for m in imported_modules(source) if "sim_engine" in m.split(".")] == []
+
+
+def test_import_scan_sees_function_level_imports():
+    source = "def f():\n    from . import sim_engine\n    from .core_state import to_list\n"
+    assert imported_modules(source) == {"sim_engine", "core_state", "core_state.to_list"}
+
+
 def test_checker_flags_an_unused_import():
     source = "import os\nimport sys  # noqa: F401\nfrom math import pi, tau\n\nprint(os.sep, tau)\n"
     assert unused_imports(source) == ["line 3: pi"]

@@ -16,9 +16,8 @@ from janus_sim.protocol import (
     redeem,
     skim,
 )
-from janus_sim.controller import step_map
 from janus_sim.core_state import to_vector
-from janus_sim.sim_engine import initial_state
+from janus_sim.sim_engine import initial_state, step_map
 
 from test_sim_engine import quiescent_config
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import janus_sim.sim_engine as sim_engine
 from janus_sim.config_io import PRESET_NAMES, config_from_dict, config_to_dict, load_preset
-from janus_sim.controller import ControllerParams, step_map
+from janus_sim.controller import ControllerParams
 from janus_sim.core_state import (
     GovernanceDistribution,
     PegBand,
@@ -40,6 +40,7 @@ from janus_sim.sim_engine import (
     path_summary,
     price_impact,
     simulate_path,
+    step_map,
 )
 from janus_sim.sim_engine import shock_width
 
@@ -399,7 +400,6 @@ def replay(cfg, path_index):
     """
     (p_a, s_a, p_o, s_o, cv, rv, fee, reward, var), _ = initial_state(cfg)
     shocks = shock_block(cfg.seed, path_index, cfg.horizon, shock_width(cfg))
-    tables = sim_engine._config_tables(cfg)
     cols = {c: [] for c in TRACE_COLUMNS}
     trend = 0.0
     prev_mid = 0.5 * (p_a + p_o)
@@ -411,7 +411,7 @@ def replay(cfg, path_index):
         lo, hi = band_bounds(p_ref, cfg.band)
         try:
             p_a, s_a, p_o, s_o, cv, rv, fee, reward, var, net_inflow = sim_engine._advance(
-                cfg, tables, shocks[t].tolist(), trend, t, p_ref,
+                cfg, shocks[t].tolist(), trend, t, p_ref,
                 p_a, s_a, p_o, s_o, cv, rv, fee, reward, var,
             )
         except OverflowError:

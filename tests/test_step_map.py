@@ -9,16 +9,29 @@ below; the SHA-256 of those outputs, one per variant, is pinned in
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import janus_sim
 from janus_sim.config_io import PRESET_NAMES, load_preset
-from janus_sim.controller import SolverError, find_fixed_point, step_map
+from janus_sim.controller import SolverError, find_fixed_point
 from janus_sim.core_state import HEADER_DIM, StateError, to_vector
-from janus_sim.sim_engine import ScenarioConfig, StressKind, StressOverlay, initial_state
+from janus_sim.sim_engine import (
+    ScenarioConfig,
+    StressKind,
+    StressOverlay,
+    initial_state,
+    monte_carlo,
+    simulate_path,
+    step_map,
+)
 
 RATES = [6, 7, 8]
 
@@ -135,15 +148,42 @@ def test_step_map_rejects_wrong_length():
 
 
 def test_reloaded_config_is_not_compared_on_every_call(monkeypatch):
-    # The map's constants live on the config object: a cache keyed by the
+    # The step's constants live on the config object: a cache keyed by the
     # config would compare an equal config loaded again field by field on
-    # every call.
+    # every lookup, in the map, a path, a batch of paths and an ensemble.
     first, again = load_preset("janus_baseline"), load_preset("janus_baseline")
     x = to_vector(*initial_state(first)).tolist()
     assert step_map(x, first) == step_map(x, again)
+    simulate_path(first, 0), simulate_path(first, range(2)), monte_carlo(first, 40)
     compared = []
     eq = ScenarioConfig.__eq__
     monkeypatch.setattr(ScenarioConfig, "__eq__", lambda a, b: compared.append(b) or eq(a, b))
     for _ in range(100):
         step_map(x, again)
+    simulate_path(again, 0), simulate_path(again, range(2)), monte_carlo(again, 40)
     assert compared == []
+
+
+def test_unpickled_config_hashes_as_an_equal_one_loaded_there(tmp_path):
+    # A spawn worker unpickles its config in an interpreter with another
+    # string-hash seed: the config's hash must come from its fields there,
+    # not travel with the object.
+    src = str(Path(janus_sim.__file__).resolve().parents[1])
+    dumped = str(tmp_path / "config.pickle")
+    prelude = (f"import pickle, sys\nsys.path.insert(0, {src!r})\n"
+               "from janus_sim.config_io import load_preset\n"
+               "from janus_sim.sim_engine import simulate_path\n")
+
+    def run(hash_seed, code):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        return subprocess.run(
+            [sys.executable, "-c", prelude + code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+
+    run("1", "cfg = load_preset('janus_baseline')\n"
+             "hash(cfg), simulate_path(cfg, 0)\n"
+             f"open({dumped!r}, 'wb').write(pickle.dumps(cfg))\n")
+    out = run("2", f"cfg = pickle.loads(open({dumped!r}, 'rb').read())\n"
+                   "fresh = load_preset('janus_baseline')\n"
+                   "print(cfg == fresh, hash(cfg) == hash(fresh))\n")
+    assert out.split() == ["True", "True"]
