@@ -119,8 +119,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
 def _plain(value):
     """Dataclasses as dicts (walking ``fields()``, not ``__dict__``, which
-    holds ``ScenarioConfig``'s memoized hash), enums as their values, tuples
-    as lists."""
+    holds ``ScenarioConfig``'s cached ``tables``), enums as their values,
+    tuples as lists."""
     if dataclasses.is_dataclass(value):
         return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, Enum):

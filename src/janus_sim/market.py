@@ -118,13 +118,16 @@ def book_return_factors(
     vol: tuple[float, ...],
     weights: tuple[float, ...],
     is_crypto: tuple[bool, ...],
+    exp=math.exp,
 ) -> tuple[float, float]:
     """One geometric step of every asset, averaged over each collateral book.
 
     Asset i moves by exp(mu_i - sigma_i^2/2 + sigma_i * (L z)_i); the crypto
     and RWA books move by the weight-averaged factor of their assets (1 for
     an empty book).  Entries of ``z`` past the last asset are ignored, so the
-    step can pass its whole shock row.
+    step can pass its whole shock row.  ``z[j]`` is a float, or an array
+    over paths in ``path_batch``, which passes an element-wise ``exp`` that
+    flags an overflow instead of raising it.
     """
     fcs = fcw = frs = frw = 0.0
     for i in range(len(drift)):
@@ -132,7 +135,7 @@ def book_return_factors(
         row = L[i]
         for j in range(i + 1):
             corr_z += row[j] * z[j]
-        f = math.exp(drift[i] - 0.5 * vol[i] * vol[i] + vol[i] * corr_z)
+        f = exp(drift[i] - 0.5 * vol[i] * vol[i] + vol[i] * corr_z)
         w = weights[i]
         if is_crypto[i]:
             fcs += w * f

@@ -4,18 +4,23 @@ array over the paths.
 
 ``simulate_batch`` runs sub-steps 2-7 of ``sim_engine._advance`` and the
 trend, failure and record rules of ``simulate_path`` on arrays of paths
-that share the step clock.  Every function here mirrors its scalar
-counterpart operation for operation, so each path's floats are
-bit-identical to those of ``simulate_path`` on that path alone.  Three
-rules keep them so:
+that share the step clock.  Each path's floats are bit-identical to those
+of ``simulate_path`` on that path alone.  Four rules keep them so:
 
 - ``exp`` comes from libm, element by element, as in the scalar core;
   ``np.exp`` rounds some inputs differently.
 - Python's ``min(a, b)`` and ``max(a, b)`` become ``_min``/``_max``, which
   keep ``a`` unless ``b`` compares smaller/larger, as Python does;
   ``np.minimum``/``np.maximum`` differ on NaN and on signed zero.
-- A per-path branch becomes a ``where`` select over both sides, computed
-  under ``np.errstate``; config-level branches stay ``if``s.
+- A per-path branch that presets take often (mint or redeem, a redemption
+  of no value, skim, the controller acting) becomes a ``where`` select
+  over both sides, computed under ``np.errstate``; config-level branches
+  stay ``if``s.
+- A path-step that would take any other per-path branch (a dead token, an
+  ``exp`` overflow, a redemption not paid in full, a capped buyback, empty
+  books, a liquidation, a mid price of 0 or less) is flagged and run again
+  by ``_advance``, so those mechanics are written once.  A NaN sets every
+  flag: a flag is always safe, a missed one loses bits.
 
 A batch keeps only what ``path_summary`` reads.  The shocks are stored
 time-major, one ``(paths, n_assets + 3)`` block per step, and each step's
@@ -32,12 +37,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sim_engine
+from .market import book_return_factors
 from .sim_engine import (
     PathSummary,
     ScenarioConfig,
+    _advance,
     _reduce_path,
     _stress_terms,
     initial_state,
+    price_impact,
     shock_width,
 )
 
@@ -50,45 +58,21 @@ def _max(a, b):
     return np.where(b > a, b, a)
 
 
-def _exp_paths(x: np.ndarray, raised: np.ndarray) -> np.ndarray:
-    """``math.exp`` of each element.  Where a finite argument overflows (the
-    scalar core's ``OverflowError``), the result is inf and the path's
-    ``raised`` flag is set."""
+def _exp_paths(x: np.ndarray, redo: np.ndarray) -> np.ndarray:
+    """``math.exp`` of each element.  Where it may overflow (the scalar
+    core's ``OverflowError``, only above log(DBL_MAX) ~ 709.78), the path is
+    flagged in ``redo``."""
     values = x.tolist()
     try:
         return np.fromiter(map(math.exp, values), float, len(values))
     except OverflowError:
-        out = np.empty(len(values))
-        for j, v in enumerate(values):
-            try:
-                out[j] = math.exp(v)
-            except OverflowError:
-                out[j] = math.inf
-                raised[j] = True
-        return out
-
-
-def _book_factors_paths(z, L, drift, vol, weights, is_crypto, raised):
-    """``market.book_return_factors`` on a block of shock rows."""
-    fcs = fcw = frs = frw = 0.0
-    for i in range(len(drift)):
-        corr_z = 0.0
-        row = L[i]
-        for j in range(i + 1):
-            corr_z = corr_z + row[j] * z[:, j]
-        f = _exp_paths(drift[i] - 0.5 * vol[i] * vol[i] + vol[i] * corr_z, raised)
-        w = weights[i]
-        if is_crypto[i]:
-            fcs = fcs + w * f
-            fcw += w
-        else:
-            frs = frs + w * f
-            frw += w
-    return fcs / fcw if fcw > 0 else 1.0, frs / frw if frw > 0 else 1.0
+        over = x > 709.0
+        redo |= over
+        return _exp_paths(np.where(over, 0.0, x), redo)
 
 
 def _demand_paths(params, base, weight, price, p_ref, trend, noise):
-    """``market.demand_flow`` on arrays of prices, trends and noises."""
+    """``market.demand_flow`` on arrays of positive prices."""
     dev = (price - p_ref) / p_ref
     scaled_base = base * weight
     total = (
@@ -97,87 +81,58 @@ def _demand_paths(params, base, weight, price, p_ref, trend, noise):
         + params.deviation_gain * dev * scaled_base
         + params.noise_vol * weight * noise
     )
-    dead = price <= 0
-    return np.where(dead, 0.0, total), np.where(dead, 0.0, total - scaled_base)
+    return total, total - scaled_base
 
 
 def _mint_paths(policy, on, value, p_a, p_o, s_a, s_o, cv, rv, crypto_share):
-    """``protocol.mint`` on the paths where ``on`` holds."""
+    """``protocol.mint`` at positive prices on the paths where ``on`` holds."""
     w_a = policy.alpha_omega_split
     notional = value / policy.min_collateral_ratio * (1.0 - policy.mint_fee)
-    s_a = np.where(on & (p_a > 0), s_a + notional * w_a / p_a, s_a)
-    s_o = np.where(on & (p_o > 0), s_o + notional * (1.0 - w_a) / p_o, s_o)
     return (
-        s_a, s_o,
+        np.where(on, s_a + notional * w_a / p_a, s_a),
+        np.where(on, s_o + notional * (1.0 - w_a) / p_o, s_o),
         np.where(on, cv + value * crypto_share, cv),
         np.where(on, rv + value * (1.0 - crypto_share), rv),
     )
 
 
-def _pay_out_paths(on, take, cv, rv, total):
-    """``protocol._pay_out`` where ``on`` holds, with ``take`` already
-    capped at ``total``, the books' sum."""
-    on = on & (total > 0)
-    cv_paid = cv - take * (cv / total)
-    rv_paid = rv - take * (rv / total)
-    return (
-        np.where(on, _max(cv_paid, 0.0), cv),
-        np.where(on, _max(rv_paid, 0.0), rv),
-    )
-
-
-def _redeem_paths(policy, on, a_red, o_red, p_a, p_o, s_a, s_o, cv, rv):
-    """``protocol.redeem`` on the paths where ``on`` holds."""
+def _redeem_paths(policy, on, a_red, o_red, p_a, p_o, s_a, s_o, cv, rv, redo):
+    """``protocol.redeem`` on the paths where ``on`` holds and the
+    redemption has value.  The books pay it in full there, or the path is
+    flagged in ``redo``."""
     value = a_red * p_a + o_red * p_o
     on = on & ~(value <= 0)
     gross = value * (1.0 - policy.redeem_fee)
     total = cv + rv
-    payout = _min(gross, total)
-    fill = np.where(gross > 0, payout / gross, 0.0)
-    s_a = np.where(on, _max(s_a - a_red * fill, 0.0), s_a)
-    s_o = np.where(on, _max(s_o - o_red * fill, 0.0), s_o)
-    cv, rv = _pay_out_paths(on, _min(payout, total), cv, rv, total)
-    return s_a, s_o, cv, rv
-
-
-def _liquidate_paths(on, s_a, s_o, cv, rv, p_ref, min_ratio, penalty, omega_senior):
-    """``protocol.liquidate`` on the paths where ``on`` holds; ``on`` implies
-    a positive supply value below the minimum ratio."""
-    supply_value = (s_a + s_o) * p_ref
-    ratio = (cv + rv) / supply_value
-    recovery = (1.0 - penalty) * _min(ratio, 1.0)
-    x = (min_ratio * supply_value - (cv + rv)) / (min_ratio - recovery)
-    burned_value = _min(x, supply_value)
-    released = recovery * burned_value
-    if omega_senior:
-        burn_tokens = burned_value / p_ref
-        a_burn = _min(burn_tokens, s_a)
-        o_burn = _min(burn_tokens - a_burn, s_o)
-    else:
-        frac = burned_value / supply_value
-        a_burn = frac * s_a
-        o_burn = frac * s_o
-    s_a = np.where(on, _max(s_a - a_burn, 0.0), s_a)
-    s_o = np.where(on, _max(s_o - o_burn, 0.0), s_o)
-    total = cv + rv
-    cv, rv = _pay_out_paths(on, _min(released, total), cv, rv, total)
-    return s_a, s_o, cv, rv
+    cv_paid = cv - gross * (cv / total)
+    rv_paid = rv - gross * (rv / total)
+    redo |= on & ~((gross > 0) & (gross <= total) & (cv_paid >= 0) & (rv_paid >= 0))
+    return (
+        np.where(on, _max(s_a - a_red, 0.0), s_a),
+        np.where(on, _max(s_o - o_red, 0.0), s_o),
+        np.where(on, cv_paid, cv),
+        np.where(on, rv_paid, rv),
+    )
 
 
 def _advance_paths(config, z, trend, t, p_ref, p_a, s_a, p_o, s_o, cv, rv,
                    fee_rate, reward_rate, var_rate):
     """``_advance`` on arrays of paths that share the clock ``t``; ``z``
-    holds one shock row per path.  Returns ``_advance``'s ten arrays and a
-    mask of the paths on which ``_advance`` would have raised."""
+    holds one shock row per path.  Returns ``_advance``'s ten arrays and the
+    mask of paths whose step ``_advance`` must run again (their values are
+    garbage).  Writes none of its inputs."""
     tb = config.tables
     n = len(tb.drift)
     eta = z[:, n]
     sigma, crash_drop, rwa_rate, base = _stress_terms(config, t)
-    raised = np.zeros(len(p_a), dtype=bool)
+    redo = ~((p_a > 0) & (p_o > 0))
+
+    def exp(x):
+        return _exp_paths(x, redo)
 
     # -- 2: collateral market move
-    fc, fr = _book_factors_paths(
-        z, tb.L, tb.drift, sigma, config.collateral_weights, tb.crypto_mask, raised
+    fc, fr = book_return_factors(
+        z.T, tb.L, tb.drift, sigma, config.collateral_weights, tb.crypto_mask, exp
     )
     cv = cv * (fc * crash_drop)
     rv = rv * fr
@@ -201,15 +156,15 @@ def _advance_paths(config, z, trend, t, p_ref, p_a, s_a, p_o, s_o, cv, rv,
         policy, net_inflow > 0, net_inflow, p_a, p_o, s_a, s_o, cv, rv, tb.wc
     )
     value = -net_inflow
-    a_red = _min(np.where(p_a > 0, value * w_a / p_a, 0.0), s_a)
-    o_red = _min(np.where(p_o > 0, value * w_o / p_o, 0.0), s_o)
+    a_red = _min(value * w_a / p_a, s_a)
+    o_red = _min(value * w_o / p_o, s_o)
     s_a, s_o, cv, rv = _redeem_paths(
-        policy, net_inflow < 0, a_red, o_red, p_a, p_o, s_a, s_o, cv, rv
+        policy, net_inflow < 0, a_red, o_red, p_a, p_o, s_a, s_o, cv, rv, redo
     )
     if config.turnover > 0:
         s_a, s_o, cv, rv = _redeem_paths(
             policy, True, config.turnover * s_a, config.turnover * s_o,
-            p_a, p_o, s_a, s_o, cv, rv,
+            p_a, p_o, s_a, s_o, cv, rv, redo,
         )
 
     # -- 5: price impact
@@ -218,24 +173,21 @@ def _advance_paths(config, z, trend, t, p_ref, p_a, s_a, p_o, s_o, cv, rv,
     sv_a = p_a * s_a
     sv_o = p_o * s_o
     emission_cost = reward * (sv_a + sv_o)
-    capped = (emission_cost < 0) & (-emission_cost > cv + rv)
-    reward = np.where(capped, reward * ((cv + rv) / -emission_cost), reward)
-    emission_cost = reward * (sv_a + sv_o)
+    old_total = cv + rv
+    # a buyback capped by the books, or empty books to rescale
+    redo |= ~(((emission_cost >= 0) | (-emission_cost <= old_total)) & (old_total > 0))
 
     mkt_a = resp_a * (1.0 - fee) - reward * sv_a
     mkt_o = resp_o * (1.0 - fee) - reward * sv_o + omega_yield_flow
-    p_a = p_a * _exp_paths(mkt_a / config.depth_alpha, raised)
-    p_o = p_o * _exp_paths(mkt_o / config.depth_omega, raised)
+    p_a = price_impact(p_a, mkt_a, config.depth_alpha, exp)
+    p_o = price_impact(p_o, mkt_o, config.depth_omega, exp)
     if config.micro_vol > 0:
-        p_a = p_a * _exp_paths(config.micro_vol * z[:, n + 1], raised)
-        p_o = p_o * _exp_paths(config.micro_vol * z[:, n + 2], raised)
+        p_a = p_a * exp(config.micro_vol * z[:, n + 1])
+        p_o = p_o * exp(config.micro_vol * z[:, n + 2])
 
-    old_total = cv + rv
-    c_total = _max(old_total + emission_cost, 0.0)
-    held = old_total > 0
-    scale = c_total / old_total
-    cv = np.where(held, cv * scale, 0.0)
-    rv = np.where(held, rv * scale, c_total)
+    scale = _max(old_total + emission_cost, 0.0) / old_total
+    cv = cv * scale
+    rv = rv * scale
     s_a = s_a * (1.0 + reward)
     s_o = s_o * (1.0 + reward)
 
@@ -243,12 +195,7 @@ def _advance_paths(config, z, trend, t, p_ref, p_a, s_a, p_o, s_o, cv, rv,
     target_ratio = policy.min_collateral_ratio
     if config.liq_enabled:
         supply_value = (s_a + s_o) * p_ref
-        under = (supply_value > 0) & ((cv + rv) / supply_value < target_ratio)
-        if under.any():
-            s_a, s_o, cv, rv = _liquidate_paths(
-                under, s_a, s_o, cv, rv, p_ref, target_ratio,
-                config.liq_penalty, config.omega_senior,
-            )
+        redo |= ~((supply_value <= 0) | ((cv + rv) / supply_value >= target_ratio))
     if config.skim_rate > 0:  # protocol.skim
         target = target_ratio * (s_a + s_o) * p_ref
         total = cv + rv
@@ -260,9 +207,10 @@ def _advance_paths(config, z, trend, t, p_ref, p_a, s_a, p_o, s_o, cv, rv,
     # -- 7: controller
     ctl = config.controller
     mid = 0.5 * (p_a + p_o)
+    redo |= ~(mid > 0)
     d = (mid - p_ref) / p_ref
     eps = config.band.epsilon
-    acts = (mid > 0) & ~(np.abs(d) <= eps)
+    acts = ~(np.abs(d) <= eps)
     excess = np.abs(d) - eps
     sign = np.where(d > 0, 1.0, -1.0)
     rates = []
@@ -279,7 +227,7 @@ def _advance_paths(config, z, trend, t, p_ref, p_a, s_a, p_o, s_o, cv, rv,
 
     return (
         p_a, _max(s_a, 0.0), p_o, _max(s_o, 0.0), _max(cv, 0.0), _max(rv, 0.0),
-        fee_rate, reward_rate, var_rate, net_inflow, raised,
+        fee_rate, reward_rate, var_rate, net_inflow, redo,
     )
 
 
@@ -314,7 +262,8 @@ class PathBatch:
 
 def simulate_batch(config: ScenarioConfig, paths: range) -> PathBatch:
     """``simulate_path``'s loop and record rules on the paths of ``paths``
-    at once.  A path that stops (its step raised or left a non-finite
+    at once.  A path-step that ``_advance_paths`` flags is run again by
+    ``_advance``.  A path that stops (its step raised or left a non-finite
     value) gets the record ``simulate_path`` ends it with, and leaves the
     arrays."""
     n_paths = len(paths)
@@ -354,9 +303,20 @@ def simulate_batch(config: ScenarioConfig, paths: range) -> PathBatch:
             p_ref = p_refs[t]
             lo = los[t]
             hi = his[t]
-            *state, net_inflow, raised = _advance_paths(
-                config, steps[t, at], trend, t, p_ref, *state
-            )
+            z = steps[t, at]
+            start = state
+            *state, net_inflow, redo = _advance_paths(config, z, trend, t, p_ref, *start)
+            raised = np.zeros(len(redo), dtype=bool)
+            for j in np.flatnonzero(redo):  # the scalar core runs the path-step again
+                try:
+                    out = _advance(
+                        config, z[j].tolist(), float(trend[j]), t, p_ref, *(float(v[j]) for v in start)
+                    )
+                except OverflowError:  # the zeroed terminal record; out of band
+                    raised[j] = True
+                    out = (0.0,) * 10
+                for v, x in zip((*state, net_inflow), out):
+                    v[j] = x
             p_a, s_a, p_o, s_o, cv, rv = state[:6]
             c_total = cv + rv
             in_band = (lo <= p_a) & (p_a <= hi) & (lo <= p_o) & (p_o <= hi)
@@ -379,21 +339,15 @@ def simulate_batch(config: ScenarioConfig, paths: range) -> PathBatch:
             )
             supply_value = s_a * p_ref + s_o * p_ref
             eff = np.where(c_total > 0, supply_value / c_total, 0.0)
-            record = np.stack((eff, mid, net_inflow, supply_value), axis=1)
-            if raised.any():
-                # the step raised: its record is the zeroed terminal record
-                record[raised] = 0.0
-                in_band = in_band & ~raised
-            steps[t, at, :4] = record
-            batch.in_band[t, at] = in_band
+            steps[t, at, :4] = np.stack((eff, mid, net_inflow, supply_value), axis=1)
+            batch.in_band[t, at] = in_band & ~raised
 
             stop = raised | ~finite
             if stop.any():
                 gone = live[stop]
                 batch.lengths[gone] = t + 1
                 batch.diverged[gone] = True
-                ends = (np.where(raised, 0.0, v)[stop] for v in (p_a, p_o, cv, rv))
-                _set_ends(batch, gone, failed[stop], *ends)
+                _set_ends(batch, gone, failed[stop], *(v[stop] for v in (p_a, p_o, cv, rv)))
                 keep = ~stop
                 live = live[keep]
                 state = [v[keep] for v in state]

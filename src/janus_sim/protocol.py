@@ -103,8 +103,7 @@ def redeem(
 def _pay_out(take: float, cv: float, rv: float) -> tuple[float, float]:
     """Both books pay ``take``, capped at what they hold, pro rata; a book
     that rounding would overdraw is left empty.  Returns (cv, rv).  The tail
-    of ``redeem`` and ``liquidate``; ``path_batch._pay_out_paths`` is its
-    twin on arrays."""
+    of ``redeem`` and ``liquidate``."""
     total = cv + rv
     if total > 0:
         take = min(take, total)

@@ -26,7 +26,10 @@ state vector and takes the holding units from ``holding_units``.
 
 The step has a second form for ensembles: ``path_batch`` runs sub-steps 2-7
 and the record rules on NumPy arrays over a range of paths, bit-identical
-to ``_advance`` path for path.  ``monte_carlo`` and ``frontier_sweep``
+to ``_advance`` path for path.  It has array code only for the branches
+presets take often; a path-step that takes a rare one (liquidation, a
+partial payout, a capped buyback, ...) is run again by ``_advance``, so
+those mechanics exist once.  ``monte_carlo`` and ``frontier_sweep``
 split their paths into chunks and run each chunk of at least
 ``BATCH_MIN_PATHS`` paths as one batch, through ``simulate_path(config,
 range)`` and ``path_summary`` on the ``PathBatch`` it returns; smaller
@@ -224,6 +227,12 @@ class ScenarioConfig:
             raise ConfigError("skim rate must lie in [0, 1]")
         if self.stress is not None and self.stress.onset + self.stress.duration > self.horizon:
             raise ConfigError("stress window must fit inside the horizon")
+        try:
+            p_end = reference_price(self.ref_policy, self.horizon)
+        except OverflowError:
+            p_end = math.inf
+        if not math.isfinite(p_end):
+            raise ConfigError("reference price must stay finite up to the horizon")
         cholesky_factor(self.correlation)  # PSD gate at construction
 
     @functools.cached_property
@@ -302,11 +311,13 @@ def shock_width(config: ScenarioConfig) -> int:
     return len(config.assets) + 4
 
 
-def price_impact(price: float, net_flow: float, depth: float) -> float:
-    """Exponential impact: positive flow raises price, zero flow is identity."""
+def price_impact(price: float, net_flow: float, depth: float, exp=math.exp) -> float:
+    """Exponential impact: positive flow raises price, zero flow is identity.
+    ``price`` and ``net_flow`` are floats, or arrays over paths with an
+    element-wise ``exp`` (see ``market.book_return_factors``)."""
     if depth <= 0:
         raise ConfigError("market depth must be positive")
-    return price * math.exp(net_flow / depth)
+    return price * exp(net_flow / depth)
 
 
 def initial_state(config: ScenarioConfig) -> tuple[list[float], list[float]]:
@@ -589,7 +600,6 @@ class PathSummary:
     terminal_p_a: float
     terminal_p_omega: float
     terminal_p_ref: float
-    terminal_supply_value: float
     peak_supply_value: float
     terminal_crypto: float
     terminal_rwa: float
@@ -654,7 +664,6 @@ def _reduce_path(
         terminal_p_a=float(p_a),
         terminal_p_omega=float(p_o),
         terminal_p_ref=float(p_ref),
-        terminal_supply_value=float(supply_value[-1]),
         peak_supply_value=float(np.max(supply_value)),
         terminal_crypto=float(crypto),
         terminal_rwa=float(rwa),

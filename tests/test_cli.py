@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import janus_sim.cli as cli
+import janus_sim.path_batch as path_batch
 import janus_sim.sim_engine as sim_engine
 from janus_sim.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from janus_sim.config_io import config_to_dict, load_preset
@@ -148,6 +149,31 @@ class TestMc:
                 m.setattr(sim_engine, "BATCH_MIN_PATHS", n + 1)
                 blobs.append(ensemble(f"{n}-scalar", n, 1))
             assert blobs[1:] == blobs[:1] * 2
+
+    @pytest.mark.parametrize("preset,kind,magnitude,duration,digest", [
+        ("janus_baseline", "crypto_crash", 0.5, 40,
+         "b575de1dccc3c65e09fef9e1203450f6b8b28bb414129c2942edf68ec962ed27"),
+        ("dai_like", "crypto_crash", 0.5, 40,
+         "fb1ec0554fa4158b57abfb18b70e991d3a334a769ade8ab5f5c1efc4985cebed"),
+        ("flatcoin_like", "demand_collapse", 0.6, 80,
+         "e0780bd2406b72fed63913239ecb043e609913d5d1a3e481ae32688e2d03b2f5"),
+    ])
+    def test_stressed_batches_keep_their_bytes(
+        self, preset, kind, magnitude, duration, digest, tmp_path, monkeypatch
+    ):
+        # Batches whose rare path-steps the scalar core runs again.
+        monkeypatch.delenv("JANUS_SIM_THREADS", raising=False)
+        calls = []
+        advance = path_batch._advance
+        monkeypatch.setattr(path_batch, "_advance", lambda *a: calls.append(a) or advance(*a))
+        data = config_to_dict(load_preset(preset))
+        data["stress"] = {"kind": kind, "onset": 60, "magnitude": magnitude, "duration": duration}
+        path = tmp_path / "stressed.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert main(["mc", "--config", str(path), "--paths", "100", "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256((out / "ensemble.json").read_bytes()).hexdigest() == digest
+        assert calls
 
     def test_single_path_matches_run(self, scenario_file, tmp_path):
         r, m = tmp_path / "r", tmp_path / "m"
@@ -393,6 +419,19 @@ class TestErrors:
         code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("command", ["run", "mc", "frontier", "equilibrium"])
+    def test_overflowing_reference_price_exits_config(self, command, tmp_path, capsys):
+        # p0 * (1 + g) ** horizon overflows: a config error before any output
+        data = config_to_dict(load_preset("janus_baseline"))
+        data["ref_policy"]["growth_rate"] = 1.0
+        data["horizon"] = 1100
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("paths", ["5", "40"])
     def test_reward_below_minus_one_exits_config(self, paths, tmp_path, capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import janus_sim.path_batch as path_batch
 import janus_sim.sim_engine as sim_engine
 from janus_sim.config_io import PRESET_NAMES, config_from_dict, config_to_dict, load_preset
 from janus_sim.controller import ControllerParams
@@ -22,7 +23,7 @@ from janus_sim.core_state import (
 )
 from janus_sim.protocol import collateral_ratio
 from janus_sim.market import AssetKind, AssetSpec, CorrelationMatrix, DemandParams
-from janus_sim.protocol import MintPolicy
+from janus_sim.protocol import MintPolicy, redeem
 from janus_sim.rng import path_generator, shock_block
 from janus_sim.sim_engine import (
     ConfigError,
@@ -161,6 +162,13 @@ class TestConfigValidation:
     def test_negative_initial_conditions_rejected(self, field):
         with pytest.raises(ConfigError):
             InitialConditions(**{field: -1.0})
+
+    @pytest.mark.parametrize("p0,growth_rate,horizon", [(1.0, 1.0, 1100), (1e306, 0.01, 1000)])
+    def test_reference_price_must_stay_finite(self, p0, growth_rate, horizon):
+        # (1 + g) ** T raises OverflowError in the first case; the product
+        # with p0 becomes inf without raising in the second
+        with pytest.raises(ConfigError, match="reference price"):
+            small_config(ref_policy=ReferencePricePolicy(p0, growth_rate), horizon=horizon)
 
     def test_asset_ids_must_index(self):
         with pytest.raises(ConfigError):
@@ -517,6 +525,37 @@ def batch_matches_scalar(cfg, paths):
     return traces
 
 
+def rerun_case(**overrides):
+    """janus_baseline over 40 steps with ``overrides``; a dict replaces
+    fields of that section."""
+    cfg = replace(load_preset("janus_baseline"), horizon=40)
+    return replace(cfg, **{
+        k: replace(getattr(cfg, k), **v) if isinstance(v, dict) else v for k, v in overrides.items()
+    })
+
+
+# One scenario per reason the batch leaves a path-step to the scalar core;
+# in each, that reason is the first to flag some path-step.
+RERUN_CASES = {
+    # a dead Alpha under outflows: no mint divides by its zero price, so no
+    # NaN reaches a later flag and only the dead-token flag catches the step
+    "dead_token": lambda: rerun_case(initial=dict(alpha_price=0.0), demand=dict(base_inflow=-300.0)),
+    "exp_overflow": lambda: diverging_config(horizon=40),
+    "unpaid_redemption": lambda: rerun_case(
+        initial=dict(c_total=0.0), demand=dict(base_inflow=0.0), liq_enabled=False
+    ),
+    "capped_buyback": lambda: rerun_case(
+        initial=dict(c_total=1000.0), controller=dict(reward_min=-1.0, reward_neutral=-0.5),
+        liq_enabled=False,
+    ),
+    "empty_books": lambda: rerun_case(
+        initial=dict(alpha_supply=0.0, omega_supply=0.0, c_total=0.0), demand=dict(base_inflow=0.0)
+    ),
+    "liquidation": lambda: rerun_case(mint_policy=dict(min_collateral_ratio=3.0)),
+    "mid_price_at_zero": lambda: rerun_case(depth_alpha=1e-3, depth_omega=1e-3),
+}
+
+
 class TestPathBatch:
     """A batch of paths summarizes bit for bit as the scalar core's paths."""
 
@@ -569,19 +608,62 @@ class TestPathBatch:
         skim_rate=st.sampled_from([0.0, 0.12, 1.0]),
         liq=st.sampled_from([(True, False), (True, True), (False, False)]),
         grace=st.sampled_from([0, 1, 14]),
-        reward_gain=st.sampled_from([0.0, 2.0, 20.0]),
+        reward=st.sampled_from([(0.0, None), (2.0, None), (20.0, None), (200.0, -1.0)]),
+        initial=st.sampled_from([{}, dict(alpha_price=0.0), dict(c_total=0.0)]),
+        min_ratio=st.sampled_from([None, 3.0]),
+        fee_bounds=st.sampled_from([None, (-0.5, 3.0)]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_random_scenarios(self, name, depth, turnover, micro_vol, skim_rate, liq, grace,
-                              reward_gain, seed):
+                              reward, initial, min_ratio, fee_bounds, seed):
+        # The draws reach every path-step the scalar core runs again: a dead
+        # token, empty books, unpaid redemptions, capped buybacks (reward_min
+        # -1) and liquidations (a minimum ratio of 3); the fee bounds reach
+        # both sides of the fee clamp.
         base = load_preset(name)
+        ctl = replace(base.controller, reward_gain=reward[0])
+        if reward[1] is not None:
+            ctl = replace(ctl, reward_min=reward[1])
+        if fee_bounds is not None:
+            ctl = replace(ctl, fee_min=fee_bounds[0], fee_max=fee_bounds[1])
+        policy = base.mint_policy
+        if min_ratio is not None:
+            policy = replace(policy, min_collateral_ratio=min_ratio)
         cfg = replace(
             base, horizon=40, seed=seed, depth_alpha=depth, depth_omega=depth,
             turnover=turnover, micro_vol=micro_vol, skim_rate=skim_rate,
             liq_enabled=liq[0], omega_senior=liq[1], failure=FailureDef(grace=grace),
-            controller=replace(base.controller, reward_gain=reward_gain),
+            controller=ctl, mint_policy=policy, initial=replace(base.initial, **initial),
         )
         batch_matches_scalar(cfg, range(4))
+
+    def test_unflagged_redemptions_match_protocol(self):
+        # Half, near-full, full and uncovered payouts of random books: each
+        # redemption the batch keeps matches protocol.redeem bit for bit, and
+        # a full payout that rounding would overdraw a book with is flagged.
+        rng = np.random.default_rng(5)
+        n = 4000
+        cv, rv = rng.uniform(0.0, 1000.0, (2, n))
+        total = cv + rv
+        a_red = total * rng.choice([0.5, 1.0 - 2.0**-52, 1.0, 1.5], n)
+        s_a, s_o, zeros, ones = 2.0 * a_red, np.full(n, 10.0), np.zeros(n), np.ones(n)
+        policy = MintPolicy(min_collateral_ratio=1.0)
+        redo = np.zeros(n, dtype=bool)
+        out = path_batch._redeem_paths(policy, True, a_red, zeros, ones, ones, s_a, s_o, cv, rv, redo)
+        for j in np.flatnonzero(~redo).tolist():
+            a, sa, so, c, r = (float(v[j]) for v in (a_red, s_a, s_o, cv, rv))
+            scalar = redeem(policy, a, 0.0, 1.0, 1.0, sa, so, c, r)
+            assert [repr(float(v[j])) for v in out] == list(map(repr, scalar))
+        assert redo[a_red > total].all()
+        assert (redo & (a_red <= total)).any()
+
+    @pytest.mark.parametrize("reason", list(RERUN_CASES))
+    def test_rare_path_steps_run_through_the_scalar_core(self, reason, monkeypatch):
+        calls = []
+        advance = path_batch._advance
+        monkeypatch.setattr(path_batch, "_advance", lambda *a: calls.append(a) or advance(*a))
+        batch_matches_scalar(RERUN_CASES[reason](), range(8))
+        assert calls
 
     def test_chunks_cover_paths_under_the_budget(self):
         for n_paths, horizon in [(1, 365), (1000, 365), (5, 10**6)]:
