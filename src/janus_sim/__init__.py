@@ -57,8 +57,6 @@ from .metrics import (
     TrilemmaPoint,
     capital_efficiency,
     decentralization,
-    failure_probability,
-    inflow_dependence,
     ponzi_anchor_check,
     ponzi_report,
     ponzi_verdict,

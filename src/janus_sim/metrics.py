@@ -9,11 +9,11 @@ minus the Monte Carlo failure probability with a Wilson interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 
 from .core_state import GovernanceDistribution, decentralization
-from .sim_engine import EnsembleSummary, FailureDef, ScenarioConfig, SimTrace, _inflow_r2, monte_carlo
+from .sim_engine import EnsembleSummary
 
 
 class MetricError(ValueError):
@@ -63,42 +63,11 @@ def capital_efficiency(s_sc: float, p_ref: float, c_total: float) -> float:
     return s_sc * p_ref / c_total
 
 
-def failure_probability(
-    config: ScenarioConfig,
-    failure: FailureDef | None = None,
-    n_paths: int = 100,
-    base_seed: int | None = None,
-    workers: int = 1,
-) -> tuple[float, tuple[float, float]]:
-    """Monte Carlo failure fraction and its 95% Wilson interval."""
-    if n_paths < 1:
-        raise MetricError("need at least one path")
-    if failure is not None:
-        config = replace(config, failure=failure)
-    if base_seed is not None:
-        config = replace(config, seed=base_seed)
-    summary = monte_carlo(config, n_paths, workers)
-    return summary.p_fail, summary.p_fail_ci
-
-
 def ponzi_anchor_check(m: float, v1: float, ev2: float) -> float:
     """Minted notional minus the sum of value anchors; <= 0 means anchored."""
     if m < 0 or v1 < 0 or ev2 < 0:
         raise MetricError("anchor inputs must be non-negative")
     return m - (v1 + ev2)
-
-
-def inflow_dependence(trace: SimTrace) -> float:
-    """R-squared of per-step mid-price log-returns on net inflow, in [0, 1].
-
-    Log-returns keep collapsed-price steps on the same scale as healthy
-    ones; the series is truncated at the first non-positive price.  Returns
-    NaN for degenerate (zero-variance) traces.
-    """
-    if len(trace) < 30:
-        raise MetricError("trace too short for inflow regression (need >= 30 steps)")
-    mid = 0.5 * (trace.array("p_a") + trace.array("p_omega"))
-    return _inflow_r2(mid, trace.array("net_inflow"))
 
 
 def ponzi_verdict(anchor_margin: float, dependence: float) -> RiskClass:

@@ -3,9 +3,10 @@ range of paths, with each of the engine's per-path floats held in a NumPy
 array over the paths.
 
 ``simulate_batch`` runs sub-steps 2-7 of ``sim_engine._advance`` and the
-trend, failure and record rules of ``simulate_path`` on arrays of paths
-that share the step clock.  Each path's floats are bit-identical to those
-of ``simulate_path`` on that path alone.  Four rules keep them so:
+trend and stop test of ``simulate_path`` on arrays of paths that share the
+step clock, and records the steps by ``sim_engine``'s ``record_flags`` and
+``fold_failed``.  Each path's floats are bit-identical to those of
+``simulate_path`` on that path alone.  Four rules keep them so:
 
 - ``exp`` comes from libm, element by element, as in the scalar core;
   ``np.exp`` rounds some inputs differently.
@@ -44,8 +45,10 @@ from .sim_engine import (
     _advance,
     _reduce_path,
     _stress_terms,
+    fold_failed,
     initial_state,
     price_impact,
+    record_flags,
     shock_width,
 )
 
@@ -261,10 +264,11 @@ class PathBatch:
 
 
 def simulate_batch(config: ScenarioConfig, paths: range) -> PathBatch:
-    """``simulate_path``'s loop and record rules on the paths of ``paths``
-    at once.  A path-step that ``_advance_paths`` flags is run again by
-    ``_advance``.  A path that stops (its step raised or left a non-finite
-    value) gets the record ``simulate_path`` ends it with, and leaves the
+    """``simulate_path``'s loop on the paths of ``paths`` at once, with
+    ``record_flags`` on each step's arrays and one ``fold_failed`` at the
+    end.  A path-step that ``_advance_paths`` flags is run again by
+    ``_advance``, and records the zeroed state if it raises there.  A path
+    that stops (its step raised or left a non-finite value) leaves the
     arrays."""
     n_paths = len(paths)
     horizon = config.horizon
@@ -285,24 +289,18 @@ def simulate_batch(config: ScenarioConfig, paths: range) -> PathBatch:
         crypto=np.empty(n_paths),
         rwa=np.empty(n_paths),
     )
+    hard = np.zeros((horizon, n_paths), dtype=bool)
 
     head, _ = initial_state(config)
     state = [np.full(n_paths, v) for v in head]
     trend = np.zeros(n_paths)
     prev_mid = np.full(n_paths, 0.5 * (head[0] + head[2]))
-    out_streak = np.zeros(n_paths, dtype=np.int64)
-    failed = np.zeros(n_paths, dtype=bool)
     live = np.arange(n_paths)  # batch positions of the paths still running
     tb = config.tables
-    p_refs, los, his = tb.p_refs, tb.band_lo, tb.band_hi
-    grace = config.failure.grace
-    floor = config.failure.floor
     with np.errstate(all="ignore"):
         for t in range(horizon):
             at = slice(None) if len(live) == n_paths else live
-            p_ref = p_refs[t]
-            lo = los[t]
-            hi = his[t]
+            p_ref = tb.p_refs[t]
             z = steps[t, at]
             start = state
             *state, net_inflow, redo = _advance_paths(config, z, trend, t, p_ref, *start)
@@ -312,58 +310,41 @@ def simulate_batch(config: ScenarioConfig, paths: range) -> PathBatch:
                     out = _advance(
                         config, z[j].tolist(), float(trend[j]), t, p_ref, *(float(v[j]) for v in start)
                     )
-                except OverflowError:  # the zeroed terminal record; out of band
+                except OverflowError:
                     raised[j] = True
                     out = (0.0,) * 10
                 for v, x in zip((*state, net_inflow), out):
                     v[j] = x
             p_a, s_a, p_o, s_o, cv, rv = state[:6]
             c_total = cv + rv
-            in_band = (lo <= p_a) & (p_a <= hi) & (lo <= p_o) & (p_o <= hi)
-            mid = 0.5 * (p_a + p_o)
-            finite = np.isfinite(mid) & np.isfinite(c_total)
+            batch.in_band[t, at], hard[t, at], mid, supply_value, eff = record_flags(
+                config.failure, p_a, p_o, p_ref, tb.band_lo[t], tb.band_hi[t], s_a, s_o, c_total
+            )
             trend = np.where(prev_mid > 0, (mid - prev_mid) / prev_mid, 0.0)
             prev_mid = mid
-            out_streak = np.where(in_band, 0, out_streak + 1)
-            if grace > 0:
-                failed = failed | (out_streak >= grace)
-            else:
-                failed = failed | ~in_band
-            denom = (s_a + s_o) * p_ref  # protocol.collateral_ratio
-            failed = (
-                failed
-                | ((denom > 0) & (c_total / denom < 1.0))
-                | (_min(p_a, p_o) <= floor * p_ref)
-                | ~finite
-                | raised
-            )
-            supply_value = s_a * p_ref + s_o * p_ref
-            eff = np.where(c_total > 0, supply_value / c_total, 0.0)
             steps[t, at, :4] = np.stack((eff, mid, net_inflow, supply_value), axis=1)
-            batch.in_band[t, at] = in_band & ~raised
 
-            stop = raised | ~finite
+            stop = raised | ~(np.isfinite(mid) & np.isfinite(c_total))
             if stop.any():
                 gone = live[stop]
                 batch.lengths[gone] = t + 1
                 batch.diverged[gone] = True
-                _set_ends(batch, gone, failed[stop], *(v[stop] for v in (p_a, p_o, cv, rv)))
+                _set_ends(batch, gone, *(v[stop] for v in (p_a, p_o, cv, rv)))
                 keep = ~stop
                 live = live[keep]
                 state = [v[keep] for v in state]
-                trend, prev_mid, out_streak, failed = (
-                    v[keep] for v in (trend, prev_mid, out_streak, failed)
-                )
+                trend, prev_mid = trend[keep], prev_mid[keep]
                 if not len(live):
                     break
     p_a, _, p_o, _, cv, rv = state[:6]
-    _set_ends(batch, live, failed, p_a, p_o, cv, rv)
+    _set_ends(batch, live, p_a, p_o, cv, rv)
+    failed = fold_failed(config.failure, batch.in_band, hard)
+    batch.failed = failed[batch.lengths - 1, np.arange(n_paths)]
     return batch
 
 
-def _set_ends(batch: PathBatch, at, failed, p_a, p_o, cv, rv):
+def _set_ends(batch: PathBatch, at, p_a, p_o, cv, rv):
     """Record the last-record values of the paths at batch positions ``at``."""
-    batch.failed[at] = failed
     batch.p_a[at] = p_a
     batch.p_omega[at] = p_o
     batch.crypto[at] = cv

@@ -20,20 +20,25 @@ reads of a config (Cholesky rows, drift, vol, class shares, the reference
 price track) are the config's ``tables``, built once per config object.  The
 core has two callers.  ``simulate_path`` keeps a path's floats in locals,
 starting from ``initial_state``, runs the core on them step by step and
-appends each record straight to the trace columns.  ``step_map``, the map
+keeps each record as a tuple of floats.  ``step_map``, the map
 of ``controller``'s equilibrium solver, runs the core on the floats of a
 state vector and takes the holding units from ``holding_units``.
 
+The record and failure rules are written once too, on arrays:
+``record_flags`` (in-band, hard failure, mid, supply value, efficiency) and
+``fold_failed`` (the grace streak, then stickiness).  A path's loop keeps
+only the step, the stop test and the trend.
+
 The step has a second form for ensembles: ``path_batch`` runs sub-steps 2-7
-and the record rules on NumPy arrays over a range of paths, bit-identical
-to ``_advance`` path for path.  It has array code only for the branches
-presets take often; a path-step that takes a rare one (liquidation, a
-partial payout, a capped buyback, ...) is run again by ``_advance``, so
-those mechanics exist once.  ``monte_carlo`` and ``frontier_sweep``
-split their paths into chunks and run each chunk of at least
-``BATCH_MIN_PATHS`` paths as one batch, through ``simulate_path(config,
-range)`` and ``path_summary`` on the ``PathBatch`` it returns; smaller
-chunks run path by path.  Two forms exist because each is the faster one
+on NumPy arrays over a range of paths, bit-identical to ``_advance`` path
+for path, and records them by the same two functions.  It has array code
+only for the branches presets take often; a path-step that takes a rare
+one (liquidation, a partial payout, a capped buyback, ...) is run again by
+``_advance``, so those mechanics exist once.  ``monte_carlo`` and
+``frontier_sweep`` split their paths into chunks and run each chunk of at
+least ``BATCH_MIN_PATHS`` paths as one batch, through
+``simulate_path(config, range)`` and ``path_summary`` on the ``PathBatch``
+it returns; smaller chunks run path by path.  Two forms exist because each is the faster one
 on its side of that threshold: a batch step has a fixed cost of about
 0.3 ms in NumPy calls, so the scalar core wins below about 30 paths, and
 ``run``, ``step_map`` and small ensembles step one path at a time.  The
@@ -82,7 +87,7 @@ from .market import (
     cholesky_factor,
     demand_flow,
 )
-from .protocol import MintPolicy, collateral_ratio, liquidate, mint, redeem, skim
+from .protocol import MintPolicy, liquidate, mint, redeem, skim
 from .rng import shock_block
 
 if TYPE_CHECKING:
@@ -288,8 +293,10 @@ TRACE_COLUMNS = (
 class SimTrace:
     """Column-oriented per-step records for one path.
 
-    ``diverged`` is set when the path stopped early on a numerical blow-up;
-    its last record is then flagged failed.
+    ``diverged`` is set when the path stopped on a numerical blow-up: its
+    last record holds a non-finite value, or the zeroed state of a step that
+    raised.  ``in_band`` and ``failed`` are filled once the path has ended,
+    by ``record_flags`` and ``fold_failed`` on its other columns.
     """
 
     columns: dict[str, list] = field(default_factory=lambda: {c: [] for c in TRACE_COLUMNS})
@@ -304,6 +311,40 @@ class SimTrace:
     def rows(self):
         cols = [self.columns[c] for c in TRACE_COLUMNS]
         return zip(*cols)
+
+
+def record_flags(failure: FailureDef, p_a, p_o, p_ref, lo, hi, s_a, s_o, c_total) -> tuple:
+    """The record rules, element-wise over arrays of records (one path's
+    steps, or one step's paths), whose arguments come in trace-column order:
+    in-band, a hard failure (collateral ratio below 1, a price at or below
+    ``failure.floor`` of the reference, or a non-finite mid price or
+    collateral), mid price, supply value and efficiency (supply value per
+    unit of collateral, 0 without collateral).  A raised step's zeroed
+    record is out of band (``lo > 0``) and at the floor, so it fails."""
+    with np.errstate(all="ignore"):
+        in_band = (lo <= p_a) & (p_a <= hi) & (lo <= p_o) & (p_o <= hi)
+        mid = 0.5 * (p_a + p_o)
+        denom = (s_a + s_o) * p_ref  # protocol.collateral_ratio's; no supply, no shortfall
+        hard = (
+            ((denom > 0) & (c_total / denom < 1.0))
+            | (np.minimum(p_a, p_o) <= failure.floor * p_ref)
+            | ~(np.isfinite(mid) & np.isfinite(c_total))
+        )
+        supply_value = s_a * p_ref + s_o * p_ref
+        eff = np.where(c_total > 0, supply_value / c_total, 0.0)
+    return in_band, hard, mid, supply_value, eff
+
+
+def fold_failed(failure: FailureDef, in_band: np.ndarray, hard: np.ndarray) -> np.ndarray:
+    """Each record's failure flag, along axis 0 of ``record_flags``' flags: a
+    record has failed once a hard failure, or ``max(failure.grace, 1)``
+    out-of-band records in a row, happened at or before it."""
+    run = max(failure.grace, 1)
+    out = np.cumsum(~in_band, axis=0)
+    out = np.concatenate((np.zeros_like(out[:1]), out))  # out-of-band counts before each record
+    failed = hard.copy()
+    failed[run - 1:] |= out[run:] - out[:-run] == run
+    return np.logical_or.accumulate(failed, axis=0)
 
 
 def shock_width(config: ScenarioConfig) -> int:
@@ -516,12 +557,13 @@ def step_map(x, config: ScenarioConfig):
 def simulate_path(config: ScenarioConfig, path_index: int | range) -> SimTrace | PathBatch:
     """Run one deterministic path; identical inputs give identical traces.
 
-    The path's floats go through ``_advance`` step by step and each record
-    is appended straight to the trace's columns.  A step that overflows or
-    leaves a non-finite price or collateral value stops the path: its last
-    record is flagged failed and ``diverged`` is set.  A step that overflows
-    leaves no state to record, so the path ends with a terminal record for
-    the next step with zero prices, supplies and collateral.
+    The path's floats go through ``_advance`` step by step; the records
+    become the trace's columns when the path ends.  A step that overflows or
+    leaves a non-finite price or collateral value stops the path and sets
+    ``diverged``.  A step that overflows leaves no state to record, so its
+    record holds zero prices, supplies, collateral and rates.  Once the path
+    has ended, ``record_flags`` and ``fold_failed`` fill the ``in_band`` and
+    ``failed`` columns; a path's last record is failed when it diverged.
 
     Given a ``range`` of path indices, the paths run side by side as arrays
     and the result is a ``PathBatch``; ``path_summary`` reads each path's
@@ -535,59 +577,37 @@ def simulate_path(config: ScenarioConfig, path_index: int | range) -> SimTrace |
     rows = shock_block(config.seed, path_index, config.horizon, shock_width(config)).tolist()
     tb = config.tables
     p_refs, los, his = tb.p_refs, tb.band_lo, tb.band_hi
-    grace = config.failure.grace
-    floor = config.failure.floor
 
-    trace = SimTrace()
-    cols = trace.columns
-    appends = [cols[c].append for c in TRACE_COLUMNS]
+    records = []
+    diverged = False
     trend = 0.0
     prev_mid = 0.5 * (p_a + p_o)
-    out_streak = 0
-    failed = False
     for t in range(config.horizon):
         p_ref = p_refs[t]
-        lo = los[t]
-        hi = his[t]
         try:
             p_a, s_a, p_o, s_o, cv, rv, fee_rate, reward_rate, var_rate, net_inflow = _advance(
                 config, rows[t], trend, t, p_ref,
                 p_a, s_a, p_o, s_o, cv, rv, fee_rate, reward_rate, var_rate,
             )
         except OverflowError:
-            # the step blew up: end the path with a flagged terminal record
-            record = (t + 1, 0.0, 0.0, p_ref, lo, hi) + (0.0,) * 9 + (0, 1)
-            for append, value in zip(appends, record):
-                append(value)
-            trace.diverged = True
-            break
+            p_a = s_a = p_o = s_o = cv = rv = fee_rate = reward_rate = var_rate = net_inflow = 0.0
+            diverged = True
         c_total = cv + rv
-        in_band = (lo <= p_a <= hi) and (lo <= p_o <= hi)
+        records.append((
+            t + 1, p_a, p_o, p_ref, los[t], his[t], s_a, s_o, c_total, cv, rv, net_inflow,
+            fee_rate, reward_rate, var_rate,
+        ))
         mid = 0.5 * (p_a + p_o)
-        finite = math.isfinite(mid) and math.isfinite(c_total)
-        if not finite:
-            failed = True
-        else:
-            trend = (mid - prev_mid) / prev_mid if prev_mid > 0 else 0.0
-            prev_mid = mid
-            out_streak = 0 if in_band else out_streak + 1
-            if out_streak >= grace and grace > 0:
-                failed = True
-            if grace == 0 and not in_band:
-                failed = True
-            if collateral_ratio(c_total, s_a + s_o, p_ref) < 1.0:
-                failed = True
-            if min(p_a, p_o) <= floor * p_ref:
-                failed = True
-        record = (
-            t + 1, p_a, p_o, p_ref, lo, hi, s_a, s_o, c_total, cv, rv, net_inflow,
-            fee_rate, reward_rate, var_rate, int(in_band), int(failed),
-        )
-        for append, value in zip(appends, record):
-            append(value)
-        if not finite:
-            trace.diverged = True
+        if diverged or not (math.isfinite(mid) and math.isfinite(c_total)):
+            diverged = True
             break
+        trend = (mid - prev_mid) / prev_mid if prev_mid > 0 else 0.0
+        prev_mid = mid
+    columns = dict(zip(TRACE_COLUMNS, map(list, zip(*records))))
+    trace = SimTrace(columns=columns, diverged=diverged)
+    in_band, hard = record_flags(config.failure, *map(trace.array, TRACE_COLUMNS[1:9]))[:2]
+    trace.columns["in_band"] = in_band.astype(int).tolist()
+    trace.columns["failed"] = fold_failed(config.failure, in_band, hard).astype(int).tolist()
     return trace
 
 
@@ -625,14 +645,8 @@ def path_summary(
 
         return batch_path_summary(trace, config, path_index)
     cols = trace.columns
-    p_ref = trace.array("p_ref")
-    supply_value = (
-        trace.array("supply_a") * p_ref + trace.array("supply_omega") * p_ref
-    )
-    c_total = trace.array("c_total")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eff = np.where(c_total > 0, supply_value / c_total, 0.0)
-    mid = 0.5 * (trace.array("p_a") + trace.array("p_omega"))
+    inputs = map(trace.array, TRACE_COLUMNS[1:9])
+    _, _, mid, supply_value, eff = record_flags(config.failure, *inputs)
     return _reduce_path(
         path_index, bool(cols["failed"][-1]), trace.array("in_band"), eff, mid,
         trace.array("net_inflow"), supply_value,

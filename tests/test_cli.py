@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import janus_sim.path_batch as path_batch
 import janus_sim.sim_engine as sim_engine
 from janus_sim.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from janus_sim.config_io import config_to_dict, load_preset
-from janus_sim.sim_engine import TRACE_COLUMNS
+from janus_sim.sim_engine import TRACE_COLUMNS, FailureDef
 
 from test_sim_engine import diverging_config, negative_reward_data, quiescent_config, small_config
 
@@ -55,6 +56,24 @@ def quiescent_file(tmp_path):
     path = tmp_path / "quiescent.json"
     path.write_text(json.dumps(config_to_dict(quiescent_config())))
     return str(path)
+
+
+# run's trace.csv: (config, extra arguments, exit code, sha256)
+TRACE_PINS = {
+    "janus_baseline": (
+        lambda: load_preset("janus_baseline"), [], EXIT_OK,
+        "985b65089024d686eedbf9faef45908b8f7967f249e23dfaf6774e9e0b1f6dd6",
+    ),
+    # ends on the zeroed record of the step that raised
+    "diverging": (
+        diverging_config, ["--seed", "1"], EXIT_DIVERGED,
+        "21b4fbc6451dcdeddb15e0a8fe577109a55db42738a80d44064e6491bd673bbb",
+    ),
+    "no_grace": (
+        lambda: replace(load_preset("janus_baseline"), failure=FailureDef(grace=0)), [], EXIT_OK,
+        "18ba774c256d53e1502f291946a2aa559d19a62615c2fbb2f21f210137e279b8",
+    ),
+}
 
 
 class TestRun:
@@ -105,6 +124,15 @@ class TestRun:
         assert len(lines) == 1 + 3
         assert lines[-1].split(",")[-1] == "1"
         assert json.loads((out / "summary.json").read_text())["failed"] is True
+
+    @pytest.mark.parametrize("name", list(TRACE_PINS))
+    def test_traces_keep_their_bytes(self, name, tmp_path):
+        make, extra, code, digest = TRACE_PINS[name]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config_to_dict(make())))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)] + extra) == code
+        assert hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest() == digest
 
 
 class TestMc:

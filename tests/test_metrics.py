@@ -13,28 +13,12 @@ from janus_sim.metrics import (
     RiskClass,
     capital_efficiency,
     decentralization,
-    failure_probability,
-    inflow_dependence,
     ponzi_anchor_check,
     ponzi_report,
     ponzi_verdict,
     trilemma_point,
 )
-from janus_sim.sim_engine import EnsembleSummary, SimTrace, TRACE_COLUMNS, monte_carlo
-
-from test_sim_engine import small_config
-
-
-def make_trace(mid_prices, inflows):
-    """A trace whose only meaningful columns are prices and net inflow."""
-    trace = SimTrace()
-    for t, (p, f) in enumerate(zip(mid_prices, inflows)):
-        row = {c: 0.0 for c in TRACE_COLUMNS}
-        row.update(t=t + 1, p_a=p, p_omega=p, p_ref=1.0, band_lo=0.98, band_hi=1.02,
-                   net_inflow=f, in_band=1, failed=0)
-        for c in TRACE_COLUMNS:
-            trace.columns[c].append(row[c])
-    return trace
+from janus_sim.sim_engine import EnsembleSummary, _inflow_r2
 
 
 def make_summary(**overrides):
@@ -142,6 +126,9 @@ class TestVerdictTable:
 
 
 class TestInflowDependence:
+    """The R-squared that ``path_summary`` gives each path as its inflow
+    dependence."""
+
     def test_perfectly_driven_prices(self):
         rng = np.random.default_rng(1)
         inflow = rng.standard_normal(200)
@@ -149,13 +136,13 @@ class TestInflowDependence:
         mid[0] = 1.0
         for t in range(1, 200):
             mid[t] = mid[t - 1] * math.exp(0.01 * inflow[t])
-        assert inflow_dependence(make_trace(mid, inflow)) == pytest.approx(1.0, abs=1e-9)
+        assert _inflow_r2(mid, inflow) == pytest.approx(1.0, abs=1e-9)
 
     def test_independent_prices(self):
         rng = np.random.default_rng(2)
         inflow = rng.standard_normal(400)
         mid = np.exp(np.cumsum(0.01 * rng.standard_normal(400)))
-        assert inflow_dependence(make_trace(mid, inflow)) < 0.05
+        assert _inflow_r2(mid, inflow) < 0.05
 
     def test_truncates_at_price_collapse(self):
         rng = np.random.default_rng(3)
@@ -165,37 +152,10 @@ class TestInflowDependence:
         for t in range(1, 200):
             mid[t] = mid[t - 1] * math.exp(0.01 * inflow[t])
         mid[120:] = 0.0  # collapsed tail must not poison the regression
-        assert inflow_dependence(make_trace(mid, inflow)) == pytest.approx(1.0, abs=1e-9)
+        assert _inflow_r2(mid, inflow) == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_trace_is_nan(self):
-        trace = make_trace(np.ones(60), np.zeros(60))
-        assert math.isnan(inflow_dependence(trace))
-
-    def test_short_trace_rejected(self):
-        with pytest.raises(MetricError):
-            inflow_dependence(make_trace(np.ones(10), np.zeros(10)))
-
-
-class TestFailureProbability:
-    def test_matches_monte_carlo(self):
-        cfg = small_config(horizon=40)
-        p, ci = failure_probability(cfg, n_paths=20)
-        summary = monte_carlo(cfg, 20)
-        assert p == summary.p_fail
-        assert ci == summary.p_fail_ci
-        assert ci[0] <= p <= ci[1]
-
-    def test_seed_override(self):
-        cfg = small_config(horizon=40)
-        from dataclasses import replace
-
-        p1, _ = failure_probability(cfg, n_paths=5, base_seed=100)
-        p2, _ = failure_probability(replace(cfg, seed=100), n_paths=5)
-        assert p1 == p2
-
-    def test_needs_paths(self):
-        with pytest.raises(MetricError):
-            failure_probability(small_config(), n_paths=0)
+        assert math.isnan(_inflow_r2(np.ones(60), np.zeros(60)))
 
 
 class TestReports:

@@ -30,6 +30,7 @@ from janus_sim.sim_engine import (
     FailureDef,
     InitialConditions,
     ScenarioConfig,
+    SimTrace,
     StressKind,
     StressOverlay,
     TRACE_COLUMNS,
@@ -376,6 +377,20 @@ class TestDivergence:
         assert not tr.diverged and len(tr) == cfg.horizon
         assert min(tr.columns["v1"]) >= 0.0 and min(tr.columns["v2"]) >= 0.0
 
+    def test_overflowing_efficiency_is_inf_without_warning(self):
+        # supply value over a tiny book overflows the efficiency quotient
+        trace = SimTrace()
+        for t in range(3):
+            row = dict.fromkeys(TRACE_COLUMNS, 0.0)
+            row.update(t=t + 1, p_a=1.0, p_omega=1.0, p_ref=1.0, band_lo=0.98, band_hi=1.02,
+                       supply_a=1e300, supply_omega=1e300, c_total=1e-300, in_band=1, failed=0)
+            for c in TRACE_COLUMNS:
+                trace.columns[c].append(row[c])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = path_summary(trace, small_config(), 0)
+        assert summary.mean_efficiency == math.inf
+
     @settings(deadline=None, max_examples=25)
     @given(
         depth=st.floats(5.0, 500.0),
@@ -469,6 +484,31 @@ REPLAY_CASES = [(name, None) for name in PRESET_NAMES] + [
 ]
 
 
+def reflexive_config(grace):
+    """small_config over 40 steps with reflexive demand and a passive
+    controller: prices leave the band for runs of up to 25 records, and only
+    the grace streak fails a path."""
+    return small_config(
+        demand=DemandParams(base_inflow=100.0, deviation_gain=6.0, noise_vol=20.0),
+        controller=ControllerParams(leak=0.0, reward_neutral=0.01, reward_max=0.02),
+        failure=FailureDef(grace=grace, floor=0.01),
+        liq_enabled=False,
+        horizon=40,
+    )
+
+
+# The edges of the failure rules: a config and a path that shows the edge.
+RULE_CASES = {
+    "grace_0": (lambda: reflexive_config(grace=0), 0),
+    "grace_1": (lambda: reflexive_config(grace=1), 0),
+    "horizon_under_grace": (lambda: reflexive_config(grace=60), 0),
+    # a lone out-of-band record (step 18) before the two that fail the path
+    "streak_reset": (lambda: replace(load_preset("janus_baseline"), failure=FailureDef(grace=2)), 1),
+    # ends on a recorded step of NaN prices and collateral
+    "non_finite": (lambda: diverging_config(seed=14), 0),
+}
+
+
 class TestOneCore:
     """``simulate_path`` replays as ``_advance`` stepped along its shock rows."""
 
@@ -494,6 +534,15 @@ class TestOneCore:
             assert raised is None
             assert exact(cols) == exact(simulate_path(cfg, i).columns)
 
+    @pytest.mark.parametrize("case", list(RULE_CASES))
+    def test_replay_matches_failure_rules(self, case):
+        make, path = RULE_CASES[case]
+        cfg = make()
+        cols, raised = replay(cfg, path)
+        tr = simulate_path(cfg, path)
+        assert raised is None and tr.diverged == (case == "non_finite")
+        assert exact(cols) == exact(tr.columns)
+
     def test_replay_raises_where_diverged_path_ends(self):
         cfg = diverging_config()
         raised_any = False
@@ -507,6 +556,9 @@ class TestOneCore:
                 # the trace ends with the terminal record of the step that raised
                 assert tr.diverged and raised == len(tr) - 1
                 assert exact(cols) == {c: v[:-1] for c, v in exact(tr.columns).items()}
+                p_ref = reference_price(cfg.ref_policy, raised + 1)
+                terminal = (raised + 1, 0.0, 0.0, p_ref, *band_bounds(p_ref, cfg.band)) + (0.0,) * 9 + (0, 1)
+                assert list(map(repr, list(tr.rows())[-1])) == list(map(repr, terminal))
         assert raised_any
 
 
@@ -591,6 +643,10 @@ class TestPathBatch:
     ])
     def test_short_horizons_and_no_grace(self, overrides):
         batch_matches_scalar(replace(load_preset("janus_baseline"), **overrides), range(8))
+
+    @pytest.mark.parametrize("case", list(RULE_CASES))
+    def test_failure_rules(self, case):
+        batch_matches_scalar(RULE_CASES[case][0](), range(8))
 
     def test_reward_below_minus_one_is_a_config_error(self):
         # A reward below -1 would turn the supplies negative and leave the
