@@ -87,6 +87,10 @@ class ControlAction(NamedTuple):
 # Immutable, so one shared instance serves every such step.
 NO_ACTION = ControlAction()
 
+# ``ControlAction((fee, reward, rate))`` without the cost of its generated
+# ``__new__``.
+_new_action = tuple.__new__
+
 
 class Stability(str, Enum):
     STABLE = "stable"
@@ -130,21 +134,28 @@ def control_action(
         return NO_ACTION
     excess = abs(d) - eps
     sign = 1.0 if d > 0 else -1.0
-    return ControlAction(
+    return _new_action(ControlAction, (
         _clip(fee + -sign * params.fee_gain * excess, params.fee_min, params.fee_max) - fee,
         _clip(reward + sign * params.reward_gain * excess, params.reward_min, params.reward_max) - reward,
         _clip(rate + -sign * params.rate_gain * excess, params.rate_min, params.rate_max) - rate,
-    )
+    ))
 
 
 def apply_action(
     params: ControllerParams, current: tuple[float, float, float], action: ControlAction
 ) -> tuple[float, float, float]:
-    """Apply saturated deltas, then relax each parameter toward neutral."""
-    fee, reward, rate = current
-    fee = _clip(fee + action.fee_delta, params.fee_min, params.fee_max)
-    reward = _clip(reward + action.reward_delta, params.reward_min, params.reward_max)
-    rate = _clip(rate + action.rate_delta, params.rate_min, params.rate_max)
+    """Apply saturated deltas, then relax each parameter toward neutral.
+    The clamps are ``_clip``'s conditionals, written out."""
+    fee_delta, reward_delta, rate_delta = action
+    fee = current[0] + fee_delta
+    fee = params.fee_min if params.fee_min > fee else fee
+    fee = params.fee_max if params.fee_max < fee else fee
+    reward = current[1] + reward_delta
+    reward = params.reward_min if params.reward_min > reward else reward
+    reward = params.reward_max if params.reward_max < reward else reward
+    rate = current[2] + rate_delta
+    rate = params.rate_min if params.rate_min > rate else rate
+    rate = params.rate_max if params.rate_max < rate else rate
     leak = params.leak
     fee += leak * (params.fee_neutral - fee)
     reward += leak * (params.reward_neutral - reward)

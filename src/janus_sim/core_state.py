@@ -134,9 +134,12 @@ def from_vector(v, n_holdings: int) -> tuple[list[float], list[float]]:
     return head, units
 
 
+_RETIRED = (0.0,) * RETIRED_DIM
+
+
 def to_list(head, units) -> list[float]:
     """The state vector of the 9 header entries and the holding units."""
-    return [*head, *units, *(0.0,) * RETIRED_DIM]
+    return [*head, *units, *_RETIRED]
 
 
 def to_vector(head, units) -> np.ndarray:

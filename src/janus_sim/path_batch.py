@@ -5,14 +5,18 @@ array over the paths.
 ``simulate_batch`` runs sub-steps 2-7 of ``sim_engine._advance`` and the
 trend and stop test of ``simulate_path`` on arrays of paths that share the
 step clock, and records the steps by ``sim_engine``'s ``record_flags`` and
-``fold_failed``.  Each path's floats are bit-identical to those of
-``simulate_path`` on that path alone.  Four rules keep them so:
+``fold_failed``.  Each step's inputs come from ``sim_engine.step_inputs``
+on the step's shock rows, one array over the paths per shock column.  Each
+path's floats are bit-identical to those of ``simulate_path`` on that path
+alone.  Four rules keep them so:
 
 - ``exp`` comes from libm, element by element, as in the scalar core;
   ``np.exp`` rounds some inputs differently.
-- Python's ``min(a, b)`` and ``max(a, b)`` become ``_min``/``_max``, which
-  keep ``a`` unless ``b`` compares smaller/larger, as Python does;
-  ``np.minimum``/``np.maximum`` differ on NaN and on signed zero.
+- A two-float ``min(a, b)`` and ``max(a, b)`` (in the scalar core, the
+  conditional ``b if b < a else a`` and its mirror) become
+  ``_min``/``_max``, which keep ``a`` unless ``b`` compares
+  smaller/larger, as Python does; ``np.minimum``/``np.maximum`` differ on
+  NaN and on signed zero.
 - A per-path branch that presets take often (mint or redeem, a redemption
   of no value, skim, the controller acting) becomes a ``where`` select
   over both sides, computed under ``np.errstate``; config-level branches
@@ -24,10 +28,12 @@ step clock, and records the steps by ``sim_engine``'s ``record_flags`` and
   flag: a flag is always safe, a missed one loses bits.
 
 A batch keeps only what ``path_summary`` reads.  The shocks are stored
-time-major, one ``(paths, n_assets + 3)`` block per step, and each step's
-record overwrites the shock slots the step has consumed, so a batch holds
-little more than its shocks.  ``sim_engine`` imports this module on first
-use: ``run`` and ``equilibrium`` never compile it.
+time-major, one ``(paths, n_assets + 3)`` block per step
+(``batch_shocks``), and each step's record overwrites the shock slots the
+step has consumed, so a batch holds little more than its shocks.  Frontier
+cells that step the same paths make the shocks once and each batch one
+copy.  ``sim_engine`` imports this module on first use: ``run`` and
+``equilibrium`` never compile it.
 """
 
 from __future__ import annotations
@@ -38,18 +44,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sim_engine
-from .market import book_return_factors
 from .sim_engine import (
     PathSummary,
     ScenarioConfig,
     _advance,
     _reduce_path,
-    _stress_terms,
     fold_failed,
     initial_state,
     price_impact,
     record_flags,
     shock_width,
+    step_inputs,
 )
 
 
@@ -121,27 +126,23 @@ def _redeem_paths(policy, on, a_red, o_red, p_a, p_o, s_a, s_o, cv, rv, redo):
 def _advance_paths(config, z, trend, t, p_ref, p_a, s_a, p_o, s_o, cv, rv,
                    fee_rate, reward_rate, var_rate):
     """``_advance`` on arrays of paths that share the clock ``t``; ``z``
-    holds one shock row per path.  Returns ``_advance``'s ten arrays and the
-    mask of paths whose step ``_advance`` must run again (their values are
-    garbage).  Writes none of its inputs."""
+    holds one shock row per path, whose inputs come from ``step_inputs``.
+    Returns ``_advance``'s ten arrays and the mask of paths whose step
+    ``_advance`` must run again (their values are garbage).  Writes none of
+    its inputs."""
     tb = config.tables
-    n = len(tb.drift)
-    eta = z[:, n]
-    sigma, crash_drop, rwa_rate, base = _stress_terms(config, t)
     redo = ~((p_a > 0) & (p_o > 0))
 
     def exp(x):
         return _exp_paths(x, redo)
 
     # -- 2: collateral market move
-    fc, fr = book_return_factors(
-        z.T, tb.L, tb.drift, sigma, config.collateral_weights, tb.crypto_mask, exp
-    )
-    cv = cv * (fc * crash_drop)
-    rv = rv * fr
+    ((f_crypto, f_rwa, eta, micro_a, micro_o),) = step_inputs(config, (z.T,), t, exp)
+    cv = cv * f_crypto
+    rv = rv * f_rwa
 
     # -- 3: RWA yield
-    gross_yield = rv * rwa_rate
+    gross_yield = rv * tb.rwa_rates[t]
     retained = gross_yield * config.treasury_split
     rv = rv + retained
     omega_yield_flow = gross_yield - retained
@@ -151,6 +152,7 @@ def _advance_paths(config, z, trend, t, p_ref, p_a, s_a, p_o, s_o, cv, rv,
     w_a = policy.alpha_omega_split
     w_o = 1.0 - w_a
     dmd = config.demand
+    base = tb.bases[t]
     flow_a, resp_a = _demand_paths(dmd, base, w_a, p_a, p_ref, trend, eta)
     flow_o, resp_o = _demand_paths(dmd, base, w_o, p_o, p_ref, trend, eta)
     net_inflow = flow_a + flow_o
@@ -182,11 +184,8 @@ def _advance_paths(config, z, trend, t, p_ref, p_a, s_a, p_o, s_o, cv, rv,
 
     mkt_a = resp_a * (1.0 - fee) - reward * sv_a
     mkt_o = resp_o * (1.0 - fee) - reward * sv_o + omega_yield_flow
-    p_a = price_impact(p_a, mkt_a, config.depth_alpha, exp)
-    p_o = price_impact(p_o, mkt_o, config.depth_omega, exp)
-    if config.micro_vol > 0:
-        p_a = p_a * exp(config.micro_vol * z[:, n + 1])
-        p_o = p_o * exp(config.micro_vol * z[:, n + 2])
+    p_a = price_impact(p_a, mkt_a, config.depth_alpha, exp) * micro_a
+    p_o = price_impact(p_o, mkt_o, config.depth_omega, exp) * micro_o
 
     scale = _max(old_total + emission_cost, 0.0) / old_total
     cv = cv * scale
@@ -263,20 +262,32 @@ class PathBatch:
         return int(self.lengths.sum())
 
 
-def simulate_batch(config: ScenarioConfig, paths: range) -> PathBatch:
-    """``simulate_path``'s loop on the paths of ``paths`` at once, with
-    ``record_flags`` on each step's arrays and one ``fold_failed`` at the
-    end.  A path-step that ``_advance_paths`` flags is run again by
-    ``_advance``, and records the zeroed state if it raises there.  A path
-    that stops (its step raised or left a non-finite value) leaves the
-    arrays."""
-    n_paths = len(paths)
+def batch_shocks(config: ScenarioConfig, paths: range) -> np.ndarray:
+    """The shocks of the paths of ``paths``, time-major: one
+    ``(paths, n_assets + 3)`` block per step (the spare column is never
+    read)."""
     horizon = config.horizon
     width = shock_width(config)
-    used = len(config.assets) + 3  # the spare shock column is never read
-    steps = np.empty((horizon, n_paths, used))
+    used = len(config.assets) + 3
+    steps = np.empty((horizon, len(paths), used))
     for j, i in enumerate(paths):
         steps[:, j, :] = sim_engine.shock_block(config.seed, i, horizon, width)[:, :used]
+    return steps
+
+
+def simulate_batch(config: ScenarioConfig, paths: range, steps: np.ndarray | None = None) -> PathBatch:
+    """``simulate_path``'s loop on the paths of ``paths`` at once, with
+    ``record_flags`` on each step's arrays and one ``fold_failed`` at the
+    end.  Each step's inputs come from ``step_inputs`` on the step's rows of
+    ``steps`` (by default ``batch_shocks``), which the batch overwrites.  A
+    path-step that ``_advance_paths`` flags is run again by ``_advance`` on
+    the inputs of its row alone, and records the zeroed state if it raises
+    there.  A path that stops (its step raised or left a non-finite value)
+    leaves the arrays."""
+    n_paths = len(paths)
+    horizon = config.horizon
+    if steps is None:
+        steps = batch_shocks(config, paths)
     batch = PathBatch(
         paths=paths,
         steps=steps,
@@ -307,8 +318,9 @@ def simulate_batch(config: ScenarioConfig, paths: range) -> PathBatch:
             raised = np.zeros(len(redo), dtype=bool)
             for j in np.flatnonzero(redo):  # the scalar core runs the path-step again
                 try:
+                    (inputs,) = step_inputs(config, (z[j].tolist(),), t)
                     out = _advance(
-                        config, z[j].tolist(), float(trend[j]), t, p_ref, *(float(v[j]) for v in start)
+                        config, inputs, float(trend[j]), t, p_ref, *(float(v[j]) for v in start)
                     )
                 except OverflowError:
                     raised[j] = True

@@ -92,12 +92,12 @@ def redeem(
         return s_a, s_o, cv, rv
     gross = value * (1.0 - policy.redeem_fee)
     total = cv + rv
-    payout = min(gross, total)
+    payout = total if total < gross else gross  # min(gross, total)
     fill = payout / gross if gross > 0 else 0.0
-    s_a = max(s_a - a_red * fill, 0.0)
-    s_o = max(s_o - o_red * fill, 0.0)
+    s_a -= a_red * fill
+    s_o -= o_red * fill
     cv, rv = _pay_out(payout, cv, rv)
-    return s_a, s_o, cv, rv
+    return 0.0 if 0.0 > s_a else s_a, 0.0 if 0.0 > s_o else s_o, cv, rv
 
 
 def _pay_out(take: float, cv: float, rv: float) -> tuple[float, float]:
@@ -106,11 +106,11 @@ def _pay_out(take: float, cv: float, rv: float) -> tuple[float, float]:
     of ``redeem`` and ``liquidate``."""
     total = cv + rv
     if total > 0:
-        take = min(take, total)
+        take = total if total < take else take  # min(take, total)
         cv -= take * (cv / total)
         rv -= take * (rv / total)
         if cv < 0.0 or rv < 0.0:  # rounding overdrew a book the payout empties
-            cv, rv = max(cv, 0.0), max(rv, 0.0)
+            cv, rv = 0.0 if 0.0 > cv else cv, 0.0 if 0.0 > rv else rv
     return cv, rv
 
 

@@ -3,8 +3,10 @@ trilemma frontier sweeps.
 
 One step executes a frozen sub-step order:
 
-    1. draw the step's shock row from the path stream
-    2. move collateral asset values (stress overlay applied)
+    1. draw the step's shock row from the path stream and turn it into the
+       step's inputs: the two collateral books' return factors (the crash
+       drop applied), the demand noise and the two microstructure factors
+    2. move collateral asset values by those factors
     3. accrue external RWA yield
     4. evaluate demand and execute protocol mint/redeem plus holder turnover
     5. update token prices via the exponential price-impact rule
@@ -12,17 +14,21 @@ One step executes a frozen sub-step order:
     7. evaluate the feedback controller and apply saturated deltas
     8. record the step
 
-Sub-steps 2-7 are written once, in ``_advance``: a core that takes and
-returns the step's numbers as plain floats (prices, supplies, the two
-collateral books, the three controller rates) and calls the mechanic
-functions of ``market``, ``protocol`` and ``controller``.  The constants it
-reads of a config (Cholesky rows, drift, vol, class shares, the reference
-price track) are the config's ``tables``, built once per config object.  The
-core has two callers.  ``simulate_path`` keeps a path's floats in locals,
-starting from ``initial_state``, runs the core on them step by step and
-keeps each record as a tuple of floats.  ``step_map``, the map
-of ``controller``'s equilibrium solver, runs the core on the floats of a
-state vector and takes the holding units from ``holding_units``.
+Sub-step 1 depends on the shocks and the clock alone, never on the state,
+so it runs ahead of the path: ``step_inputs`` computes it over a block of
+shock rows, once per path.  Sub-steps 2-7 are written once, in
+``_advance``: a core that takes one step's inputs and returns the step's
+numbers as plain floats (prices, supplies, the two collateral books, the
+three controller rates) and calls the mechanic functions of ``market``,
+``protocol`` and ``controller``.  The constants it reads of a config
+(Cholesky rows, drift, class shares, each step's stress terms, the
+reference price track, the zero-shock inputs) are the config's ``tables``,
+built once per config object.  The core has two callers.
+``simulate_path`` keeps a path's floats in locals, starting from
+``initial_state``, runs the core on them step by step and keeps each record
+as a tuple of floats.  ``step_map``, the map of ``controller``'s
+equilibrium solver, runs the core on the floats of a state vector and takes
+the holding units from ``holding_units``.
 
 The record and failure rules are written once too, on arrays:
 ``record_flags`` (in-band, hard failure, mid, supply value, efficiency) and
@@ -38,12 +44,16 @@ one (liquidation, a partial payout, a capped buyback, ...) is run again by
 ``frontier_sweep`` split their paths into chunks and run each chunk of at
 least ``BATCH_MIN_PATHS`` paths as one batch, through
 ``simulate_path(config, range)`` and ``path_summary`` on the ``PathBatch``
-it returns; smaller chunks run path by path.  Two forms exist because each is the faster one
-on its side of that threshold: a batch step has a fixed cost of about
-0.3 ms in NumPy calls, so the scalar core wins below about 30 paths, and
-``run``, ``step_map`` and small ensembles step one path at a time.  The
-scalar core is also the reference the batch is tested against.  Which form
-ran cannot show in any output.
+it returns; smaller chunks run path by path.  Two forms exist because each
+is the faster one on its side of that threshold: a batch step has a fixed
+cost of about 0.3 ms in NumPy calls, so the scalar core wins below about
+36 paths, and ``run``, ``step_map`` and small ensembles step one path at a
+time.  The scalar core is also the reference the batch is tested against.
+Which form ran cannot show in any output.
+
+Frontier cells that differ only in parameters the shocks and step inputs
+do not read (``_paths_key``) step the same paths, so each path's shocks,
+and its step inputs when it runs alone, are made once for all of them.
 
 Demand routing: the structural base inflow enters through genesis minting
 (new holders mint at the protocol, no order-book impact), while the
@@ -99,10 +109,13 @@ BURN_IN_STEPS = 30
 # scalar core is faster).  No chunk holds more than this many path-steps,
 # which bounds a batch's memory, and no pool starts for this much work or
 # less, where a path-step run path by path counts as SCALAR_STEP_COST
-# batched ones (janus_baseline on a 2-core x86 host: 19 us against 3.3 us).
-BATCH_MIN_PATHS = 32
+# batched ones.  Measured on janus_baseline, dai_like and flatcoin_like on a
+# 2-core x86 host: the two forms break even at 32-40 paths, and at 718 paths
+# (one full chunk) a path-step takes 11-16 us path by path against 2.5-3.3 us
+# batched.
+BATCH_MIN_PATHS = 36
 BATCH_PATH_STEPS = 1 << 18
-SCALAR_STEP_COST = 6
+SCALAR_STEP_COST = 5
 
 
 class ConfigError(ValueError):
@@ -165,17 +178,19 @@ class StepTables(NamedTuple):
     """A config's constants for the step, ``ScenarioConfig.tables``."""
 
     L: tuple  # Cholesky rows of the correlation; then, in config.assets order,
-    drift: tuple  # each asset's drift, vol and whether it is crypto
-    vol: tuple
+    drift: tuple  # each asset's drift and whether it is crypto
     crypto_mask: tuple
     wc: float  # the crypto and RWA shares of the collateral weights
     wr: float
-    rwa_rate: float  # the RWA book's yield rate
+    sigmas: tuple  # at each stress clock 0..horizon-1, under the stress overlay:
+    crash_drops: tuple  # the asset vols, the crypto book's crash factor,
+    rwa_rates: tuple  # the RWA book's yield rate and the base inflow
+    bases: tuple
     p_refs: tuple  # reference price and band bounds after each step 1..horizon
     band_lo: tuple
     band_hi: tuple
-    zero_row: tuple  # step_map's shock row and reference price (t = 0)
-    p_ref0: float
+    zero_inputs: tuple | None  # step_map's step inputs (zero shocks at t = 0)
+    p_ref0: float  # and reference price
 
 
 @dataclass(frozen=True)
@@ -250,22 +265,43 @@ class ScenarioConfig:
         wc = sum(wi for wi, c in zip(w, crypto_mask) if c)
         wr = 1.0 - wc
         yld = sum(wi * s.yield_rate for wi, s in zip(w, self.assets) if s.kind is AssetKind.RWA)
+        vol = tuple(s.vol for s in self.assets)
+        rwa_rate = yld / wr if wr > 0 else 0.0
+        base = self.demand.base_inflow
+        # (vols, crash drop, RWA yield rate, base inflow) at each stress clock
+        terms = [(vol, 1.0, rwa_rate, base)] * self.horizon
+        overlay = self.stress
+        if overlay is not None:
+            cut = 1.0 - overlay.magnitude
+            crash_vol = tuple(s * 2.0 if c else s for s, c in zip(vol, crypto_mask))
+            for t in range(overlay.onset, overlay.onset + overlay.duration):
+                if overlay.kind is StressKind.CRYPTO_CRASH:
+                    terms[t] = (crash_vol, cut if t == overlay.onset else 1.0, rwa_rate, base)
+                elif overlay.kind is StressKind.RWA_SHORTFALL:
+                    terms[t] = (vol, 1.0, rwa_rate * cut, base)
+                else:  # demand collapse
+                    terms[t] = (vol, 1.0, rwa_rate, base * cut)
+        sigmas, crash_drops, rwa_rates, bases = zip(*terms)
         p_refs = tuple(reference_price(self.ref_policy, t) for t in range(1, self.horizon + 1))
         bounds = [band_bounds(p_ref, self.band) for p_ref in p_refs]
-        return StepTables(
+        tables = StepTables(
             L=L,
             drift=tuple(s.drift for s in self.assets),
-            vol=tuple(s.vol for s in self.assets),
             crypto_mask=crypto_mask,
             wc=wc,
             wr=wr,
-            rwa_rate=yld / wr if wr > 0 else 0.0,
+            sigmas=sigmas,
+            crash_drops=crash_drops,
+            rwa_rates=rwa_rates,
+            bases=bases,
             p_refs=p_refs,
             band_lo=tuple(lo for lo, _ in bounds),
             band_hi=tuple(hi for _, hi in bounds),
-            zero_row=(0.0,) * shock_width(self),
+            zero_inputs=None,
             p_ref0=reference_price(self.ref_policy, 0),
         )
+        (zero,) = step_inputs(self, [(0.0,) * shock_width(self)], 0, tables=tables)
+        return tables._replace(zero_inputs=zero)
 
 
 TRACE_COLUMNS = (
@@ -394,30 +430,40 @@ def holding_units(config: ScenarioConfig, cv: float, rv: float) -> list[float]:
     ]
 
 
-def _stress_terms(config: ScenarioConfig, t: int) -> tuple:
-    """The step's asset vols, crash factor, RWA yield rate and base inflow
-    under the stress overlay at clock ``t``: (sigma, crash_drop, rwa_rate,
-    base)."""
-    tb = config.tables
-    sigma, rwa_rate = tb.vol, tb.rwa_rate
-    base = config.demand.base_inflow
-    overlay = config.stress
-    crash_drop = 1.0
-    if overlay is not None and overlay.active(t):
-        if overlay.kind is StressKind.CRYPTO_CRASH:
-            if t == overlay.onset:
-                crash_drop = 1.0 - overlay.magnitude
-            sigma = tuple(s * 2.0 if c else s for s, c in zip(sigma, tb.crypto_mask))
-        elif overlay.kind is StressKind.RWA_SHORTFALL:
-            rwa_rate *= 1.0 - overlay.magnitude
-        else:  # demand collapse
-            base *= 1.0 - overlay.magnitude
-    return sigma, crash_drop, rwa_rate, base
+def step_inputs(
+    config: ScenarioConfig, rows, t0: int, exp=math.exp, tables: StepTables | None = None
+) -> list:
+    """The state-independent inputs of the steps whose shock rows are
+    ``rows``, the first at stress clock ``t0``: for each step the tuple
+    (crypto book factor times the crash drop, RWA book factor, demand noise,
+    Alpha and Omega microstructure factors) that ``_advance`` takes, or None
+    where an ``exp`` overflows, and ``_advance`` raises ``OverflowError``.
+
+    A row is a list of floats, or (in ``path_batch``) a sequence of arrays
+    over paths, each entry one shock column, with an element-wise ``exp``
+    that flags an overflow instead of raising it.  ``tables`` defaults to
+    ``config.tables``, which pass themselves while they are built.
+    """
+    tb = config.tables if tables is None else tables
+    n = len(tb.drift)
+    L, drift, mask, w = tb.L, tb.drift, tb.crypto_mask, config.collateral_weights
+    sigmas, crash_drops = tb.sigmas, tb.crash_drops
+    mv = config.micro_vol
+    out = []
+    for t, row in enumerate(rows, t0):
+        try:
+            fc, fr = book_return_factors(row, L, drift, sigmas[t], w, mask, exp)
+            micro = (exp(mv * row[n + 1]), exp(mv * row[n + 2])) if mv > 0 else (1.0, 1.0)
+        except OverflowError:
+            out.append(None)
+            continue
+        out.append((fc * crash_drops[t], fr, row[n], *micro))
+    return out
 
 
 def _advance(
     config: ScenarioConfig,
-    row: list[float],
+    inputs: tuple | None,
     trend: float,
     t: int,
     p_ref: float,
@@ -433,24 +479,24 @@ def _advance(
 ) -> tuple[float, ...]:
     """Sub-steps 2-7 on plain floats: the engine's one copy of the step.
 
-    ``row`` is the step's shock row, ``t`` the stress clock and ``p_ref``
-    the reference price after the step.
+    ``inputs`` are the step's ``step_inputs``, ``t`` the stress clock and
+    ``p_ref`` the reference price after the step.
     Returns (p_a, s_a, p_o, s_o, crypto_value, rwa_value, fee_rate,
     reward_rate, var_rate, net_inflow), supplies and books floored at zero.
-    Raises OverflowError when a price blows up.
+    Raises OverflowError when a price or a step input blows up.  A two-float
+    ``min``/``max`` is written as a conditional that keeps the same operand.
     """
+    if inputs is None:
+        raise OverflowError("math range error")
+    f_crypto, f_rwa, eta, micro_a, micro_o = inputs
     tb = config.tables
-    n = len(tb.drift)
-    eta = row[n]
-    sigma, crash_drop, rwa_rate, base = _stress_terms(config, t)
 
     # -- 2: collateral market move -------------------------------------------
-    fc, fr = book_return_factors(row, tb.L, tb.drift, sigma, config.collateral_weights, tb.crypto_mask)
-    cv *= fc * crash_drop
-    rv *= fr
+    cv *= f_crypto
+    rv *= f_rwa
 
     # -- 3: RWA yield ---------------------------------------------------------
-    gross_yield = rv * rwa_rate
+    gross_yield = rv * tb.rwa_rates[t]
     retained = gross_yield * config.treasury_split
     rv += retained
     omega_yield_flow = gross_yield - retained
@@ -460,6 +506,7 @@ def _advance(
     w_a = policy.alpha_omega_split
     w_o = 1.0 - w_a
     dmd = config.demand
+    base = tb.bases[t]
     flow_a, resp_a = demand_flow(dmd, base, w_a, p_a, p_ref, trend, eta)
     flow_o, resp_o = demand_flow(dmd, base, w_o, p_o, p_ref, trend, eta)
     net_inflow = flow_a + flow_o
@@ -468,8 +515,10 @@ def _advance(
         s_a, s_o, cv, rv = mint(policy, net_inflow, p_a, p_o, s_a, s_o, cv, rv, tb.wc)
     elif net_inflow < 0:
         value = -net_inflow
-        a_red = min(value * w_a / p_a if p_a > 0 else 0.0, s_a)
-        o_red = min(value * w_o / p_o if p_o > 0 else 0.0, s_o)
+        a_red = value * w_a / p_a if p_a > 0 else 0.0
+        a_red = s_a if s_a < a_red else a_red
+        o_red = value * w_o / p_o if p_o > 0 else 0.0
+        o_red = s_o if s_o < o_red else o_red
         s_a, s_o, cv, rv = redeem(policy, a_red, o_red, p_a, p_o, s_a, s_o, cv, rv)
 
     if config.turnover > 0:
@@ -478,7 +527,8 @@ def _advance(
         )
 
     # -- 5: price impact ------------------------------------------------------
-    fee = min(max(fee_rate, 0.0), 1.0)
+    fee = 0.0 if 0.0 > fee_rate else fee_rate
+    fee = 1.0 if 1.0 < fee else fee
     reward = reward_rate
     sv_a = p_a * s_a
     sv_o = p_o * s_o
@@ -490,15 +540,13 @@ def _advance(
 
     mkt_a = resp_a * (1.0 - fee) - reward * sv_a
     mkt_o = resp_o * (1.0 - fee) - reward * sv_o + omega_yield_flow
-    p_a = price_impact(p_a, mkt_a, config.depth_alpha)
-    p_o = price_impact(p_o, mkt_o, config.depth_omega)
-    if config.micro_vol > 0:
-        p_a *= math.exp(config.micro_vol * row[n + 1])
-        p_o *= math.exp(config.micro_vol * row[n + 2])
+    p_a = price_impact(p_a, mkt_a, config.depth_alpha) * micro_a
+    p_o = price_impact(p_o, mkt_o, config.depth_omega) * micro_o
 
     # emission proceeds accrue to (or buybacks spend from) the treasury
     old_total = cv + rv
-    c_total = max(old_total + emission_cost, 0.0)
+    c_total = old_total + emission_cost
+    c_total = 0.0 if 0.0 > c_total else c_total
     if old_total > 0:
         scale = c_total / old_total
         cv *= scale
@@ -528,7 +576,8 @@ def _advance(
     fee_rate, reward_rate, var_rate = apply_action(config.controller, current, action)
 
     return (
-        p_a, max(s_a, 0.0), p_o, max(s_o, 0.0), max(cv, 0.0), max(rv, 0.0),
+        p_a, 0.0 if 0.0 > s_a else s_a, p_o, 0.0 if 0.0 > s_o else s_o,
+        0.0 if 0.0 > cv else cv, 0.0 if 0.0 > rv else rv,
         fee_rate, reward_rate, var_rate, net_inflow,
     )
 
@@ -549,16 +598,26 @@ def step_map(x, config: ScenarioConfig):
     """
     tb = config.tables
     head, _ = from_vector(x, len(config.assets))
-    out = _advance(config, tb.zero_row, 0.0, 0, tb.p_ref0, *head)
+    out = _advance(config, tb.zero_inputs, 0.0, 0, tb.p_ref0, *head)
     succ = to_list(out[:HEADER_DIM], holding_units(config, out[4], out[5]))
     return succ if isinstance(x, list) else np.array(succ)
 
 
-def simulate_path(config: ScenarioConfig, path_index: int | range) -> SimTrace | PathBatch:
+def path_inputs(config: ScenarioConfig, path_index: int) -> list:
+    """The ``step_inputs`` of every step of path ``path_index``, from its
+    shock block."""
+    rows = shock_block(config.seed, path_index, config.horizon, shock_width(config)).tolist()
+    return step_inputs(config, rows, 0)
+
+
+def simulate_path(
+    config: ScenarioConfig, path_index: int | range, shared=None
+) -> SimTrace | PathBatch:
     """Run one deterministic path; identical inputs give identical traces.
 
-    The path's floats go through ``_advance`` step by step; the records
-    become the trace's columns when the path ends.  A step that overflows or
+    The path's step inputs are computed once (``path_inputs``); its floats
+    go through ``_advance`` step by step, and the records become the trace's
+    columns when the path ends.  A step that overflows or
     leaves a non-finite price or collateral value stops the path and sets
     ``diverged``.  A step that overflows leaves no state to record, so its
     record holds zero prices, supplies, collateral and rates.  Once the path
@@ -568,13 +627,18 @@ def simulate_path(config: ScenarioConfig, path_index: int | range) -> SimTrace |
     Given a ``range`` of path indices, the paths run side by side as arrays
     and the result is a ``PathBatch``; ``path_summary`` reads each path's
     summary from it, bit-identical to that of its own trace.
+
+    ``shared`` is what configs that step the same paths (``_paths_key``)
+    compute once: for one path its ``path_inputs``, for a range of paths
+    the batch's shocks (``path_batch.batch_shocks``), which the batch
+    overwrites.
     """
     if isinstance(path_index, range):
         from .path_batch import simulate_batch
 
-        return simulate_batch(config, path_index)
+        return simulate_batch(config, path_index, shared)
+    inputs = path_inputs(config, path_index) if shared is None else shared
     (p_a, s_a, p_o, s_o, cv, rv, fee_rate, reward_rate, var_rate), _ = initial_state(config)
-    rows = shock_block(config.seed, path_index, config.horizon, shock_width(config)).tolist()
     tb = config.tables
     p_refs, los, his = tb.p_refs, tb.band_lo, tb.band_hi
 
@@ -586,7 +650,7 @@ def simulate_path(config: ScenarioConfig, path_index: int | range) -> SimTrace |
         p_ref = p_refs[t]
         try:
             p_a, s_a, p_o, s_o, cv, rv, fee_rate, reward_rate, var_rate, net_inflow = _advance(
-                config, rows[t], trend, t, p_ref,
+                config, inputs[t], trend, t, p_ref,
                 p_a, s_a, p_o, s_o, cv, rv, fee_rate, reward_rate, var_rate,
             )
         except OverflowError:
@@ -698,11 +762,24 @@ def _inflow_r2(mid_prices: np.ndarray, inflow: np.ndarray) -> float:
         inflow = inflow[:cut]
     if len(mid_prices) < 3:
         return float("nan")
-    dp = np.diff(np.log(mid_prices))
-    x = inflow[1:]
-    if np.std(dp) == 0 or np.std(x) == 0:
-        return float("nan")
-    r = np.corrcoef(x, dp)[0, 1]
+    # a diverged path's last record of infinite price or inflow makes it
+    # NaN, with no numpy warning
+    with np.errstate(all="ignore"):
+        dp = np.diff(np.log(mid_prices))
+        x = inflow[1:]
+        if np.std(dp) == 0 or np.std(x) == 0:
+            return float("nan")
+        # np.corrcoef(x, dp)[0, 1] by its own steps, without np.cov's argument
+        # handling: the same means, the same BLAS product on the same shapes
+        X = np.stack((x, dp))
+        X -= X.mean(axis=1)[:, None]
+        c = np.dot(X, X.T.conj())
+        c *= np.true_divide(1, X.shape[1] - 1)
+        sd = np.sqrt(np.diag(c))
+        c /= sd[:, None]
+        c /= sd[None, :]
+        np.clip(c, -1, 1, out=c)
+        r = c[0, 1]
     return float(min(max(r * r, 0.0), 1.0))
 
 
@@ -735,21 +812,45 @@ def _wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[floa
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
-def _summarize_paths(args) -> list[PathSummary]:
-    """The summaries of a chunk of consecutive paths: run side by side when
-    the chunk holds at least ``BATCH_MIN_PATHS`` of them, else one by one
-    through the scalar core.  The two give the same bits."""
-    config, paths = args
+def _paths_key(config: ScenarioConfig) -> str:
+    """What fixes a path's shocks and step inputs: configs with the same key
+    step the same paths.  A repr, so that 0.0 and -0.0 differ."""
+    return repr((
+        config.seed, config.horizon, config.assets, config.correlation,
+        config.collateral_weights, config.micro_vol, config.stress,
+    ))
+
+
+def _summarize_paths(args) -> list[list[PathSummary]]:
+    """The summaries of a chunk of consecutive paths, one list per config of
+    a group that steps the same paths: each path's shocks, and for a path
+    run alone its step inputs, are made once for the group.  A chunk of at
+    least ``BATCH_MIN_PATHS`` paths runs side by side, each config on its
+    own copy of the shocks, since a batch overwrites them; a smaller one
+    runs path by path through the scalar core.  The two give the same bits."""
+    configs, paths = args
     if len(paths) >= BATCH_MIN_PATHS:
-        batch = simulate_path(config, paths)
-        return [path_summary(batch, config, i) for i in paths]
-    return [path_summary(simulate_path(config, i), config, i) for i in paths]
+        from .path_batch import batch_shocks
+
+        shocks = batch_shocks(configs[0], paths)
+        done = []
+        for k, config in enumerate(configs):
+            batch = simulate_path(config, paths, shocks if k == len(configs) - 1 else shocks.copy())
+            done.append([path_summary(batch, config, i) for i in paths])
+        return done
+    done = [[] for _ in configs]
+    for i in paths:
+        inputs = path_inputs(configs[0], i)
+        for config, summaries in zip(configs, done):
+            summaries.append(path_summary(simulate_path(config, i, inputs), config, i))
+    return done
 
 
-def _split(paths: range, k: int) -> list[range]:
-    """``paths`` cut into ``k`` near-equal consecutive ranges."""
-    n = len(paths)
-    return [paths[n * c // k : n * (c + 1) // k] for c in range(k)]
+def _split(items, k: int) -> list:
+    """A range of paths, or a list of cells, cut into ``k`` near-equal
+    consecutive slices."""
+    n = len(items)
+    return [items[n * c // k : n * (c + 1) // k] for c in range(k)]
 
 
 def _path_chunks(n_paths: int, horizon: int) -> list[range]:
@@ -767,23 +868,51 @@ def _spawn_pool(processes: int):
     return mp.get_context("spawn").Pool(processes=processes)
 
 
-def _run_jobs(jobs: list[tuple[ScenarioConfig, range]], workers: int) -> list[PathSummary]:
-    """The path summaries of the ``(config, range)`` jobs, in job order.
-    With ``workers > 1`` and more than ``BATCH_PATH_STEPS`` of work (scalar
-    path-steps weighted by ``SCALAR_STEP_COST``), the jobs are split into at
-    least ``workers`` and mapped in order on one spawn pool of
-    ``min(workers, len(jobs))`` processes; else in-process."""
+def _run_cells(configs: list[ScenarioConfig], n_paths: int, workers: int) -> list[list[PathSummary]]:
+    """The summaries of paths 0..n_paths-1 of each config, in config order.
+
+    Configs with the same ``_paths_key`` form a group, and each group's
+    paths are cut into ``(configs, range)`` jobs of at most
+    ``BATCH_PATH_STEPS`` path-steps a config.  With ``workers > 1`` and more
+    than ``BATCH_PATH_STEPS`` of work (every config's path-steps, those run
+    path by path weighted by ``SCALAR_STEP_COST``), the jobs are split into
+    at least ``workers``, first by config and then by paths, and mapped in
+    order on one spawn pool of ``min(workers, len(jobs))`` processes; else
+    in-process."""
+    groups = {}
+    for c, config in enumerate(configs):
+        groups.setdefault(_paths_key(config), []).append(c)
+    jobs = [
+        (cells, paths)
+        for cells in groups.values()
+        for paths in _path_chunks(n_paths, configs[cells[0]].horizon)
+    ]
     cost = sum(
-        len(p) * c.horizon * (1 if len(p) >= BATCH_MIN_PATHS else SCALAR_STEP_COST) for c, p in jobs
+        len(cells) * len(p) * configs[cells[0]].horizon
+        * (1 if len(p) >= BATCH_MIN_PATHS else SCALAR_STEP_COST)
+        for cells, p in jobs
     )
+
+    def task(job):
+        cells, paths = job
+        return tuple(configs[c] for c in cells), paths
+
     if workers > 1 and cost > BATCH_PATH_STEPS:
         parts = -(-workers // len(jobs))
-        jobs = [(c, r) for c, p in jobs for r in _split(p, min(parts, len(p)))]
+        split = []
+        for cells, p in jobs:
+            k = min(parts, len(cells))
+            split += [(sub, r) for sub in _split(cells, k) for r in _split(p, min(-(-parts // k), len(p)))]
+        jobs = split
         with _spawn_pool(min(workers, len(jobs))) as pool:
-            done = pool.map(_summarize_paths, jobs, chunksize=1)
+            done = pool.map(_summarize_paths, [task(job) for job in jobs], chunksize=1)
     else:
-        done = [_summarize_paths(job) for job in jobs]
-    return [s for part in done for s in part]
+        done = [_summarize_paths(task(job)) for job in jobs]
+    out = [[] for _ in configs]
+    for (cells, _), part in zip(jobs, done):
+        for c, summaries in zip(cells, part):
+            out[c] += summaries
+    return out
 
 
 def _median(values: list[float]) -> float:
@@ -827,10 +956,9 @@ def monte_carlo(config: ScenarioConfig, n_paths: int, workers: int = 1) -> Ensem
     Results are bitwise identical for any worker count and chunking: each
     path derives its own counter-based stream, a batch reproduces the
     scalar core's bits, and the reduction runs in index order.  ``workers``
-    is an upper bound (see ``_run_jobs``).
+    is an upper bound (see ``_run_cells``).
     """
-    jobs = [(config, paths) for paths in _path_chunks(n_paths, config.horizon)]
-    return _ensemble_summary(config, _run_jobs(jobs, workers))
+    return _ensemble_summary(config, _run_cells([config], n_paths, workers)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -883,18 +1011,17 @@ def frontier_sweep(
 ) -> list[FrontierPoint]:
     """Evaluate a parameter grid and mark the Pareto-optimal points.
 
-    All cells' chunks run as one job list, so a sweep opens at most one
-    pool, and each cell is reduced as ``monte_carlo`` reduces an ensemble.
+    All cells run through one ``_run_cells``, so a sweep opens at most one
+    pool and cells that step the same paths share their shocks and step
+    inputs; each cell is reduced as ``monte_carlo`` reduces an ensemble.
     """
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ConfigError("sweep grid must be non-empty")
     keys = list(grid.keys())
     cells = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
     configs = [_apply_overrides(base, overrides) for overrides in cells]
-    jobs = [(cfg, paths) for cfg in configs for paths in _path_chunks(n_paths, cfg.horizon)]
-    done = _run_jobs(jobs, workers)
     summaries = [
-        _ensemble_summary(cfg, done[c * n_paths : (c + 1) * n_paths]) for c, cfg in enumerate(configs)
+        _ensemble_summary(cfg, done) for cfg, done in zip(configs, _run_cells(configs, n_paths, workers))
     ]
     results = [
         (overrides, decentralization(cfg.governance), summary.mean_efficiency, 1.0 - summary.p_fail)

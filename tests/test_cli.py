@@ -1,15 +1,20 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import janus_sim.cli as cli
 import janus_sim.path_batch as path_batch
@@ -18,7 +23,15 @@ from janus_sim.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from janus_sim.config_io import config_to_dict, load_preset
 from janus_sim.sim_engine import TRACE_COLUMNS, FailureDef
 
-from test_sim_engine import diverging_config, negative_reward_data, quiescent_config, small_config
+from test_sim_engine import (
+    SCENARIO_KNOBS,
+    diverging_config,
+    negative_reward_data,
+    quiescent_config,
+    quiet_config,
+    random_scenario,
+    small_config,
+)
 
 
 # Malformed edits of janus_baseline, each a config error.
@@ -246,6 +259,37 @@ class TestMc:
         assert not out.exists()
 
 
+def count_pools(monkeypatch) -> list[int]:
+    """Count the spawn pools opened: the returned list collects the process
+    count of each."""
+    opened = []
+    spawn_pool = sim_engine._spawn_pool
+
+    def counting_pool(processes):
+        opened.append(processes)
+        return spawn_pool(processes)
+
+    monkeypatch.setattr(sim_engine, "_spawn_pool", counting_pool)
+    return opened
+
+
+def output_bytes(tmp_path, tag, command, config, n_paths, workers, grid=None) -> bytes:
+    """``ensemble.json`` of ``mc``, or ``frontier.csv`` of ``frontier`` over
+    ``grid``, for ``config`` with ``n_paths`` paths and ``workers``."""
+    path = tmp_path / f"{tag}.json"
+    path.write_text(json.dumps(config_to_dict(config)))
+    extra = []
+    if command == "frontier":
+        grid_path = tmp_path / f"{tag}-grid.json"
+        grid_path.write_text(json.dumps(grid))
+        extra = ["--grid", str(grid_path)]
+    out = tmp_path / tag
+    code = main([command, "--config", str(path), "--paths", str(n_paths), *extra,
+                 "--workers", str(workers), "--out", str(out)])
+    assert code == EXIT_OK
+    return (out / ("frontier.csv" if command == "frontier" else "ensemble.json")).read_bytes()
+
+
 class TestWorkers:
     """``ensemble.json`` and ``frontier.csv`` keep their bytes for 1, 2 and 4
     workers, with the ensemble below one batch of path-steps (in process)
@@ -259,36 +303,39 @@ class TestWorkers:
     ):
         monkeypatch.delenv("JANUS_SIM_THREADS", raising=False)
         config = small_config(horizon=60) if name == "scenario" else diverging_config(seed=1)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config_to_dict(config)))
-        grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps({"epsilon": [0.01, 0.03]}))
+        grid = {"epsilon": [0.01, 0.03]}
         n = sim_engine.BATCH_MIN_PATHS
-        opened = []
-        spawn_pool = sim_engine._spawn_pool
-
-        def counting_pool(processes):
-            opened.append(processes)
-            return spawn_pool(processes)
-
-        monkeypatch.setattr(sim_engine, "_spawn_pool", counting_pool)
-
-        def output(tag, workers):
-            out = tmp_path / tag
-            extra = ["--grid", str(grid)] if command == "frontier" else []
-            code = main([command, "--config", str(path), "--paths", str(n), *extra,
-                         "--workers", str(workers), "--out", str(out)])
-            assert code == EXIT_OK
-            return (out / ("frontier.csv" if command == "frontier" else "ensemble.json")).read_bytes()
-
-        blobs = [output(f"w{w}", w) for w in (1, 2, 4)]
+        opened = count_pools(monkeypatch)
+        blobs = [output_bytes(tmp_path, f"w{w}", command, config, n, w, grid) for w in (1, 2, 4)]
         assert opened == []
-        # mc: 2 chunks of n/2 paths; frontier: 2 cells of one n-path chunk
+        # mc: 2 chunks of n/2 paths; frontier: 2 cells of one n-path chunk,
+        # one per process for 2 workers
         chunk = n // 2 if command == "mc" else n
         monkeypatch.setattr(sim_engine, "BATCH_PATH_STEPS", chunk * config.horizon)
-        blobs += [output(f"pool-w{w}", w) for w in (1, 2, 4)]
+        blobs += [output_bytes(tmp_path, f"pool-w{w}", command, config, n, w, grid) for w in (1, 2, 4)]
         assert opened == [2, 4]
         assert blobs == blobs[:1] * 6
+
+    @pytest.mark.parametrize("name", ["scenario", "diverging"])
+    def test_cells_sharing_paths_give_the_bytes_of_cells_run_one_by_one(
+        self, name, tmp_path, monkeypatch
+    ):
+        # theta cuts the four cells into two groups of two that step the
+        # same paths; each group runs as one batch, here or in a pool
+        monkeypatch.delenv("JANUS_SIM_THREADS", raising=False)
+        config = small_config(horizon=60) if name == "scenario" else diverging_config(seed=1, horizon=60)
+        grid = {"theta": [[0.5, 0.5], [0.8, 0.2]], "min_collateral_ratio": [1.4, 1.6]}
+        n = sim_engine.BATCH_MIN_PATHS
+        with monkeypatch.context() as m:
+            m.setattr(sim_engine, "_paths_key", id)  # every cell a group of its own
+            alone = output_bytes(tmp_path, "alone", "frontier", config, n, 1, grid)
+        opened = count_pools(monkeypatch)
+        blobs = [output_bytes(tmp_path, f"w{w}", "frontier", config, n, w, grid) for w in (1, 2)]
+        assert opened == []
+        monkeypatch.setattr(sim_engine, "BATCH_PATH_STEPS", n * config.horizon)
+        blobs += [output_bytes(tmp_path, f"pool-w{w}", "frontier", config, n, w, grid) for w in (1, 2)]
+        assert opened == [2]
+        assert blobs == [alone] * 4
 
 
 class TestFrontier:
@@ -393,6 +440,51 @@ class TestEquilibrium:
         monkeypatch.setattr(cli, "step_map", recording_step_map)
         assert main(["equilibrium", "--preset", "janus_baseline", "--out", str(tmp_path)]) == EXIT_OK
         assert kinds == [list] * 534 + [np.ndarray] * (2 * 13)
+
+
+def stderr_of(argv) -> tuple:
+    """(exit code, stderr, warnings raised) of one CLI call."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
+class TestStderr:
+    """Stderr carries only what the CLI means to say: no numpy warning, on
+    scenarios that reach every rare branch of the step."""
+
+    @settings(deadline=None, max_examples=20)
+    @given(**SCENARIO_KNOBS)
+    def test_random_scenarios_print_only_the_divergence_line(self, **knobs):
+        config = random_scenario(**knobs)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scenario.json"
+            path.write_text(json.dumps(config_to_dict(config)))
+            code, err, caught = stderr_of(["run", "--config", str(path), "--out", f"{tmp}/run"])
+            assert caught == []
+            if code == EXIT_DIVERGED:
+                steps = len((Path(tmp) / "run" / "trace.csv").read_text().splitlines()) - 1
+                assert err == f"simulation diverged at step {steps} of {config.horizon}\n"
+            else:
+                assert (code, err) == (EXIT_OK, "")
+            out = f"{tmp}/mc"
+            assert stderr_of(["mc", "--config", str(path), "--paths", "40", "--out", out]) == (EXIT_OK, "", [])
+
+    def test_infinite_mid_price_prints_only_the_divergence_line(self, tmp_path):
+        # path 0 ends on a record of infinite Alpha price: the inflow
+        # regression over it is NaN, with no numpy warning
+        cfg = quiet_config(micro_vol=250.0, seed=1)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config_to_dict(cfg)))
+        code, err, caught = stderr_of(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert (code, caught) == (EXIT_DIVERGED, [])
+        assert err.startswith("simulation diverged at step ") and err.count("\n") == 1
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert math.isnan(summary["inflow_r2"])
+        last = (tmp_path / "o" / "trace.csv").read_text().splitlines()[-1].split(",")
+        assert "inf" in last[1:3]
 
 
 class TestErrors:

@@ -157,6 +157,34 @@ class TestInflowDependence:
     def test_degenerate_trace_is_nan(self):
         assert math.isnan(_inflow_r2(np.ones(60), np.zeros(60)))
 
+    @staticmethod
+    def corrcoef_r2(mid_prices, inflow):
+        """``_inflow_r2`` as it was written on ``np.corrcoef``."""
+        positive = mid_prices > 0
+        if not positive.all():
+            cut = int(np.argmin(positive))
+            mid_prices, inflow = mid_prices[:cut], inflow[:cut]
+        if len(mid_prices) < 3:
+            return float("nan")
+        dp = np.diff(np.log(mid_prices))
+        x = inflow[1:]
+        if np.std(dp) == 0 or np.std(x) == 0:
+            return float("nan")
+        r = np.corrcoef(x, dp)[0, 1]
+        return float(min(max(r * r, 0.0), 1.0))
+
+    def test_matches_corrcoef_bit_for_bit(self):
+        # corrcoef's own steps give its bits: random series of 3-400
+        # records, scales far apart, every fourth with a zero price
+        rng = np.random.default_rng(11)
+        for k in range(2000):
+            n = int(rng.integers(3, 401))
+            mid = np.exp(np.cumsum(rng.normal(0.0, rng.choice([1e-6, 0.01, 1.0]), n)))
+            if k % 4 == 0:
+                mid[rng.integers(0, n)] = 0.0
+            inflow = rng.normal(0.0, rng.choice([1e-3, 1.0, 1e6]), n)
+            assert repr(_inflow_r2(mid, inflow)) == repr(self.corrcoef_r2(mid, inflow))
+
 
 class TestReports:
     def test_ponzi_report_wiring(self):

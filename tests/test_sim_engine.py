@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -416,8 +417,9 @@ class TestDivergence:
 def replay(cfg, path_index):
     """Rebuild a path's trace columns by stepping ``_advance`` along its
     shock rows with ``simulate_path``'s trend and failure rules; each step's
-    reference price and band come from ``reference_price`` and
-    ``band_bounds``.
+    inputs come from ``step_inputs`` on its row alone (``simulate_path``
+    computes the whole block's at once), and its reference price and band
+    from ``reference_price`` and ``band_bounds``.
 
     Returns the columns and the step that raised (None if none did).
     """
@@ -432,9 +434,10 @@ def replay(cfg, path_index):
     for t in range(cfg.horizon):
         p_ref = reference_price(cfg.ref_policy, t + 1)
         lo, hi = band_bounds(p_ref, cfg.band)
+        (inputs,) = sim_engine.step_inputs(cfg, [shocks[t].tolist()], t)
         try:
             p_a, s_a, p_o, s_o, cv, rv, fee, reward, var, net_inflow = sim_engine._advance(
-                cfg, shocks[t].tolist(), trend, t, p_ref,
+                cfg, inputs, trend, t, p_ref,
                 p_a, s_a, p_o, s_o, cv, rv, fee, reward, var,
             )
         except OverflowError:
@@ -509,6 +512,79 @@ RULE_CASES = {
 }
 
 
+def stress_window(kind, onset, duration):
+    """janus_baseline over 40 steps under a ``kind`` overlay on steps
+    ``onset`` to ``onset + duration - 1``."""
+    cfg = replace(load_preset("janus_baseline"), horizon=40)
+    return replace(cfg, stress=StressOverlay(kind, onset=onset, magnitude=STRESSES[kind], duration=duration))
+
+
+# Stress windows at the edges of the clock: the first step alone, the whole
+# horizon, the last step alone, a window that ends on the last step, none.
+WINDOWS = [(0, 1), (0, 40), (39, 1), (25, 15), (20, 0)]
+
+
+def stress_terms(cfg, t):
+    """The stress overlay's terms at clock ``t`` as the step once computed
+    them: (asset vols, crash drop, RWA yield rate, base inflow)."""
+    crypto = [s.kind is AssetKind.CRYPTO for s in cfg.assets]
+    sigma = tuple(s.vol for s in cfg.assets)
+    wr = 1.0 - sum(w for w, c in zip(cfg.collateral_weights, crypto) if c)
+    yld = sum(w * s.yield_rate for w, s, c in zip(cfg.collateral_weights, cfg.assets, crypto) if not c)
+    rwa_rate = yld / wr if wr > 0 else 0.0
+    base = cfg.demand.base_inflow
+    crash_drop = 1.0
+    overlay = cfg.stress
+    if overlay is not None and overlay.active(t):
+        if overlay.kind is StressKind.CRYPTO_CRASH:
+            if t == overlay.onset:
+                crash_drop = 1.0 - overlay.magnitude
+            sigma = tuple(v * 2.0 if c else v for v, c in zip(sigma, crypto))
+        elif overlay.kind is StressKind.RWA_SHORTFALL:
+            rwa_rate *= 1.0 - overlay.magnitude
+        else:
+            base *= 1.0 - overlay.magnitude
+    return sigma, crash_drop, rwa_rate, base
+
+
+def quiet_config(**overrides):
+    """janus_baseline over 40 steps with no demand, turnover or controller
+    gain: nothing but the shocks moves the prices."""
+    cfg = load_preset("janus_baseline")
+    return replace(
+        cfg, horizon=40, turnover=0.0,
+        demand=replace(cfg.demand, base_inflow=0.0, noise_vol=0.0, deviation_gain=0.0, sentiment_gain=0.0),
+        controller=replace(cfg.controller, fee_gain=0.0, reward_gain=0.0, rate_gain=0.0),
+        **overrides,
+    )
+
+
+def book_overflow_config(seed):
+    """janus_baseline over 40 steps with an unweighted crypto asset whose
+    step factor exp(708 - 0.5 + z) overflows once its shock passes 2.28."""
+    cfg = load_preset("janus_baseline")
+    crypto = replace(cfg.assets[0], drift=708.0, vol=1.0)
+    return replace(cfg, horizon=40, seed=seed, assets=(crypto, cfg.assets[1]), collateral_weights=(0.0, 1.0))
+
+
+# A step input whose exp overflows at a step (path 0 raises there): (config, step)
+INPUT_OVERFLOWS = {
+    "book_factor": (lambda: book_overflow_config(seed=3), 22),
+    "micro_factor": (lambda: quiet_config(micro_vol=250.0, seed=19), 16),
+}
+
+
+def assert_ends_raised(cfg, path, cols, raised):
+    """The trace of ``path`` is ``cols`` and then the zeroed terminal record
+    of step ``raised``."""
+    tr = simulate_path(cfg, path)
+    assert tr.diverged and raised == len(tr) - 1
+    assert exact(cols) == {c: v[:-1] for c, v in exact(tr.columns).items()}
+    p_ref = reference_price(cfg.ref_policy, raised + 1)
+    terminal = (raised + 1, 0.0, 0.0, p_ref, *band_bounds(p_ref, cfg.band)) + (0.0,) * 9 + (0, 1)
+    assert list(map(repr, list(tr.rows())[-1])) == list(map(repr, terminal))
+
+
 class TestOneCore:
     """``simulate_path`` replays as ``_advance`` stepped along its shock rows."""
 
@@ -547,19 +623,62 @@ class TestOneCore:
         cfg = diverging_config()
         raised_any = False
         for i in range(10):
-            tr = simulate_path(cfg, i)
             cols, raised = replay(cfg, i)
             if raised is None:
-                assert exact(cols) == exact(tr.columns)
+                assert exact(cols) == exact(simulate_path(cfg, i).columns)
             else:
                 raised_any = True
                 # the trace ends with the terminal record of the step that raised
-                assert tr.diverged and raised == len(tr) - 1
-                assert exact(cols) == {c: v[:-1] for c, v in exact(tr.columns).items()}
-                p_ref = reference_price(cfg.ref_policy, raised + 1)
-                terminal = (raised + 1, 0.0, 0.0, p_ref, *band_bounds(p_ref, cfg.band)) + (0.0,) * 9 + (0, 1)
-                assert list(map(repr, list(tr.rows())[-1])) == list(map(repr, terminal))
+                assert_ends_raised(cfg, i, cols, raised)
         assert raised_any
+
+    @pytest.mark.parametrize("kind", list(STRESSES))
+    @pytest.mark.parametrize("onset,duration", WINDOWS)
+    def test_stress_terms_at_the_window_edges(self, kind, onset, duration):
+        cfg = stress_window(kind, onset, duration)
+        tb = cfg.tables
+        for t in range(cfg.horizon):
+            terms = (tb.sigmas[t], tb.crash_drops[t], tb.rwa_rates[t], tb.bases[t])
+            assert repr(terms) == repr(stress_terms(cfg, t))
+        for i in range(2):
+            cols, raised = replay(cfg, i)
+            assert raised is None
+            assert exact(cols) == exact(simulate_path(cfg, i).columns)
+
+    def test_step_map_takes_the_stress_at_clock_zero(self):
+        # an overlay from step 0 reaches the map: a crash drops the crypto book
+        calm = replace(load_preset("janus_baseline"), horizon=40)
+        crash = stress_window(StressKind.CRYPTO_CRASH, 0, 1)
+        x = to_vector(*initial_state(calm))
+        (inputs,) = sim_engine.step_inputs(crash, [(0.0,) * shock_width(crash)], 0)
+        assert repr(crash.tables.zero_inputs) == repr(inputs)
+        assert step_map(x, crash)[4] < 0.6 * step_map(x, calm)[4]
+
+    @pytest.mark.parametrize("case", list(INPUT_OVERFLOWS))
+    def test_replay_raises_where_a_step_input_overflows(self, case, tmp_path, capsys):
+        from janus_sim.cli import EXIT_DIVERGED, main
+
+        make, step = INPUT_OVERFLOWS[case]
+        cfg = make()
+        rows = shock_block(cfg.seed, 0, cfg.horizon, shock_width(cfg)).tolist()
+        inputs = sim_engine.step_inputs(cfg, rows, 0)
+        assert [t for t, x in enumerate(inputs) if x is None][0] == step
+        cols, raised = replay(cfg, 0)
+        assert raised == step
+        assert_ends_raised(cfg, 0, cols, raised)
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(config_to_dict(cfg)))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_DIVERGED
+        assert capsys.readouterr().err == f"simulation diverged at step {step + 1} of 40\n"
+
+    def test_infinite_step_input_is_a_non_finite_record(self):
+        # exp(inf * z) is inf for z > 0, without raising: the price is inf
+        cfg = replace(load_preset("janus_baseline"), horizon=40, micro_vol=math.inf, seed=0)
+        cols, raised = replay(cfg, 0)
+        tr = simulate_path(cfg, 0)
+        assert raised is None and tr.diverged and len(tr) == 1
+        assert tr.columns["p_a"][-1] == math.inf and math.isfinite(tr.columns["c_total"][-1])
+        assert exact(cols) == exact(tr.columns)
 
 
 def batch_matches_scalar(cfg, paths):
@@ -608,6 +727,47 @@ RERUN_CASES = {
 }
 
 
+# The knobs of ``random_scenario``.
+SCENARIO_KNOBS = dict(
+    name=st.sampled_from(PRESET_NAMES),
+    depth=st.sampled_from([5.0, 50.0, 10_000.0]),
+    turnover=st.sampled_from([0.0, 0.1, 0.9]),
+    micro_vol=st.sampled_from([0.0, 0.001, 0.5]),
+    skim_rate=st.sampled_from([0.0, 0.12, 1.0]),
+    liq=st.sampled_from([(True, False), (True, True), (False, False)]),
+    grace=st.sampled_from([0, 1, 14]),
+    reward=st.sampled_from([(0.0, None), (2.0, None), (20.0, None), (200.0, -1.0)]),
+    initial=st.sampled_from([{}, dict(alpha_price=0.0), dict(c_total=0.0)]),
+    min_ratio=st.sampled_from([None, 3.0]),
+    fee_bounds=st.sampled_from([None, (-0.5, 3.0)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def random_scenario(name, depth, turnover, micro_vol, skim_rate, liq, grace, reward, initial,
+                    min_ratio, fee_bounds, seed):
+    """A preset over 40 steps with drawn knobs.  The draws reach every
+    path-step the batch leaves to the scalar core: a dead token, empty
+    books, unpaid redemptions, capped buybacks (reward_min -1) and
+    liquidations (a minimum ratio of 3); the fee bounds reach both sides of
+    the fee clamp."""
+    base = load_preset(name)
+    ctl = replace(base.controller, reward_gain=reward[0])
+    if reward[1] is not None:
+        ctl = replace(ctl, reward_min=reward[1])
+    if fee_bounds is not None:
+        ctl = replace(ctl, fee_min=fee_bounds[0], fee_max=fee_bounds[1])
+    policy = base.mint_policy
+    if min_ratio is not None:
+        policy = replace(policy, min_collateral_ratio=min_ratio)
+    return replace(
+        base, horizon=40, seed=seed, depth_alpha=depth, depth_omega=depth,
+        turnover=turnover, micro_vol=micro_vol, skim_rate=skim_rate,
+        liq_enabled=liq[0], omega_senior=liq[1], failure=FailureDef(grace=grace),
+        controller=ctl, mint_policy=policy, initial=replace(base.initial, **initial),
+    )
+
+
 class TestPathBatch:
     """A batch of paths summarizes bit for bit as the scalar core's paths."""
 
@@ -648,6 +808,19 @@ class TestPathBatch:
     def test_failure_rules(self, case):
         batch_matches_scalar(RULE_CASES[case][0](), range(8))
 
+    @pytest.mark.parametrize("kind", list(STRESSES))
+    @pytest.mark.parametrize("onset,duration", [(0, 1), (39, 1), (25, 15)])
+    def test_stress_window_edges(self, kind, onset, duration):
+        batch_matches_scalar(stress_window(kind, onset, duration), range(4))
+
+    @pytest.mark.parametrize("make", [
+        INPUT_OVERFLOWS["book_factor"][0],
+        INPUT_OVERFLOWS["micro_factor"][0],
+        lambda: replace(load_preset("janus_baseline"), horizon=40, micro_vol=math.inf),
+    ], ids=["book_factor_overflow", "micro_factor_overflow", "infinite_micro_factor"])
+    def test_step_input_overflows(self, make):
+        batch_matches_scalar(make(), range(8))
+
     def test_reward_below_minus_one_is_a_config_error(self):
         # A reward below -1 would turn the supplies negative and leave the
         # treasury skim dividing by empty books; the scenario is rejected
@@ -656,42 +829,9 @@ class TestPathBatch:
             config_from_dict(negative_reward_data())
 
     @settings(deadline=None, max_examples=20)
-    @given(
-        name=st.sampled_from(PRESET_NAMES),
-        depth=st.sampled_from([5.0, 50.0, 10_000.0]),
-        turnover=st.sampled_from([0.0, 0.1, 0.9]),
-        micro_vol=st.sampled_from([0.0, 0.001, 0.5]),
-        skim_rate=st.sampled_from([0.0, 0.12, 1.0]),
-        liq=st.sampled_from([(True, False), (True, True), (False, False)]),
-        grace=st.sampled_from([0, 1, 14]),
-        reward=st.sampled_from([(0.0, None), (2.0, None), (20.0, None), (200.0, -1.0)]),
-        initial=st.sampled_from([{}, dict(alpha_price=0.0), dict(c_total=0.0)]),
-        min_ratio=st.sampled_from([None, 3.0]),
-        fee_bounds=st.sampled_from([None, (-0.5, 3.0)]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_random_scenarios(self, name, depth, turnover, micro_vol, skim_rate, liq, grace,
-                              reward, initial, min_ratio, fee_bounds, seed):
-        # The draws reach every path-step the scalar core runs again: a dead
-        # token, empty books, unpaid redemptions, capped buybacks (reward_min
-        # -1) and liquidations (a minimum ratio of 3); the fee bounds reach
-        # both sides of the fee clamp.
-        base = load_preset(name)
-        ctl = replace(base.controller, reward_gain=reward[0])
-        if reward[1] is not None:
-            ctl = replace(ctl, reward_min=reward[1])
-        if fee_bounds is not None:
-            ctl = replace(ctl, fee_min=fee_bounds[0], fee_max=fee_bounds[1])
-        policy = base.mint_policy
-        if min_ratio is not None:
-            policy = replace(policy, min_collateral_ratio=min_ratio)
-        cfg = replace(
-            base, horizon=40, seed=seed, depth_alpha=depth, depth_omega=depth,
-            turnover=turnover, micro_vol=micro_vol, skim_rate=skim_rate,
-            liq_enabled=liq[0], omega_senior=liq[1], failure=FailureDef(grace=grace),
-            controller=ctl, mint_policy=policy, initial=replace(base.initial, **initial),
-        )
-        batch_matches_scalar(cfg, range(4))
+    @given(**SCENARIO_KNOBS)
+    def test_random_scenarios(self, **knobs):
+        batch_matches_scalar(random_scenario(**knobs), range(4))
 
     def test_unflagged_redemptions_match_protocol(self):
         # Half, near-full, full and uncovered payouts of random books: each
@@ -939,3 +1079,32 @@ class TestFrontier:
         cfg = small_config(horizon=30)
         pts = frontier_sweep(cfg, {"theta": [[0.5, 0.5], [0.9, 0.1]]}, 2)
         assert len(pts) == 2
+
+    @pytest.mark.parametrize("n_paths", [3, sim_engine.BATCH_MIN_PATHS])
+    def test_cells_that_change_the_paths_step_their_own(self, n_paths):
+        # micro_vol and the stress window change the step inputs; epsilon
+        # does not, so the eight cells form four groups of two
+        crash = StressOverlay(StressKind.CRYPTO_CRASH, onset=10, magnitude=0.5, duration=10)
+        cfg = small_config(horizon=30, stress=crash)
+        grid = {"micro_vol": [0.001, 0.05], "onset": [5, 10], "epsilon": [0.01, 0.03]}
+        for pt in frontier_sweep(cfg, grid, n_paths):
+            ens = monte_carlo(sim_engine._apply_overrides(cfg, pt.overrides), n_paths)
+            assert (pt.e, pt.s) == (ens.mean_efficiency, 1.0 - ens.p_fail)
+
+    def test_cells_that_step_the_same_paths_draw_them_once(self, monkeypatch):
+        calls = []
+        block = sim_engine.shock_block
+        monkeypatch.setattr(sim_engine, "shock_block", lambda *a: calls.append(a[1]) or block(*a))
+        # the bundled grid varies no field of the paths: 4 blocks, not 36
+        grid = json.loads(resources.files("janus_sim.presets").joinpath("frontier_grid.json").read_text())
+        frontier_sweep(load_preset("janus_baseline"), grid, 4, workers=2)
+        assert calls == [0, 1, 2, 3]
+        # batched cells too; theta makes two groups
+        calls.clear()
+        cfg = small_config(horizon=30)
+        n = sim_engine.BATCH_MIN_PATHS
+        frontier_sweep(cfg, {"epsilon": [0.01, 0.03], "min_collateral_ratio": [1.4, 1.6]}, n)
+        assert calls == list(range(n))
+        calls.clear()
+        frontier_sweep(cfg, {"theta": [[0.5, 0.5], [0.9, 0.1]], "epsilon": [0.01, 0.03]}, 3)
+        assert calls == [0, 1, 2] * 2
