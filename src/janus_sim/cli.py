@@ -90,7 +90,7 @@ def _workers(args) -> int:
     return n
 
 
-def _write_manifest(out_dir: str, config: ScenarioConfig, n_paths: int, outputs: list[str], t0: float):
+def _write_manifest(out_dir: str, config: ScenarioConfig, n_paths: int, outputs: list[str], t0: float, map_stress=None):
     manifest = {
         "build": f"janus-sim {__version__}",
         "config_hash": config_hash(config),
@@ -98,6 +98,7 @@ def _write_manifest(out_dir: str, config: ScenarioConfig, n_paths: int, outputs:
         "n_paths": n_paths,
         "outputs": sorted(outputs),
         "duration_seconds": time.perf_counter() - t0,
+        "map_stress": map_stress,
     }
     _atomic_write(os.path.join(out_dir, "manifest.json"), _json_text(manifest))
 
@@ -219,6 +220,11 @@ def cmd_equilibrium(args) -> int:
     t0 = time.perf_counter()
     config = _load(args)
     os.makedirs(args.out, exist_ok=True)
+    # the map's stress clock stays at 0: a window over step 0 acts on every evaluation
+    stress = config.stress if config.stress is not None and config.stress.active(0) else None
+    map_stress = None if stress is None else {"kind": stress.kind.value, "magnitude": stress.magnitude}
+    if stress is not None:
+        sys.stderr.write(f"equilibrium map under {stress.kind.value} at t = 0, magnitude {stress.magnitude}\n")
 
     def F(x):
         return step_map(x, config)
@@ -251,7 +257,7 @@ def cmd_equilibrium(args) -> int:
         "stability": stability.value,
     }
     _atomic_write(os.path.join(args.out, "equilibrium.json"), _json_text(payload))
-    _write_manifest(args.out, config, 0, ["equilibrium.json"], t0)
+    _write_manifest(args.out, config, 0, ["equilibrium.json"], t0, map_stress=map_stress)
     print(f"stability: {stability.value} (spectral radius {rho:.6f})")
     return EXIT_OK
 

@@ -123,22 +123,29 @@ def control_action(
 
     Above the band: raise reward emission (supply expansion, sell pressure)
     and lower fee/variable rate.  Below the band: the mirror image.  Inside the
-    band: exactly zero.  Deltas are pre-saturated against the bounds.
+    band: exactly zero.  Deltas are pre-saturated against the bounds
+    (``control_deltas``, behind this function's guards).
     """
     if price <= 0 or p_ref <= 0:
         raise ControlError("prices must be positive")
-    fee, reward, rate = current
     d = (price - p_ref) / p_ref
     eps = band.epsilon
     if abs(d) <= eps:
         return NO_ACTION
-    excess = abs(d) - eps
-    sign = 1.0 if d > 0 else -1.0
-    return _new_action(ControlAction, (
-        _clip(fee + -sign * params.fee_gain * excess, params.fee_min, params.fee_max) - fee,
-        _clip(reward + sign * params.reward_gain * excess, params.reward_min, params.reward_max) - reward,
-        _clip(rate + -sign * params.rate_gain * excess, params.rate_min, params.rate_max) - rate,
-    ))
+    return _new_action(ControlAction, control_deltas(params, current, abs(d) - eps, 1.0 if d > 0 else -1.0))
+
+
+def control_deltas(params: ControllerParams, current, excess, sign, clip=_clip) -> tuple:
+    """The deltas of a controller acting on a deviation ``excess`` past the
+    band, on the side ``sign`` (+1.0 above, -1.0 below), clipped to the
+    bounds.  Floats, or arrays with an element-wise ``clip``;
+    ``control_action`` keeps the guards (positive prices, the band test)."""
+    fee, reward, rate = current
+    return (
+        clip(fee + -sign * params.fee_gain * excess, params.fee_min, params.fee_max) - fee,
+        clip(reward + sign * params.reward_gain * excess, params.reward_min, params.reward_max) - reward,
+        clip(rate + -sign * params.rate_gain * excess, params.rate_min, params.rate_max) - rate,
+    )
 
 
 def apply_action(

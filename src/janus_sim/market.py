@@ -158,11 +158,11 @@ def demand_flow(
     """One token's signed quote-currency demand for one step.
 
     Returns (full flow, market-facing part): the token's ``weight`` share of
-    the structural ``base`` inflow is the part that bypasses the market.  A
-    token with no positive price draws no flow.
+    the structural ``base`` inflow is the part that bypasses the market.
+    Floats or arrays over paths.  ``price`` must be positive: a token with
+    no positive price draws no flow, and the caller keeps that rule
+    (``sim_engine._advance``).
     """
-    if price <= 0:
-        return 0.0, 0.0
     dev = (price - p_ref) / p_ref
     scaled_base = base * weight
     total = (

@@ -10,22 +10,26 @@ on the step's shock rows, one array over the paths per shock column.  Each
 path's floats are bit-identical to those of ``simulate_path`` on that path
 alone.  Four rules keep them so:
 
-- ``exp`` comes from libm, element by element, as in the scalar core;
-  ``np.exp`` rounds some inputs differently.
-- A two-float ``min(a, b)`` and ``max(a, b)`` (in the scalar core, the
-  conditional ``b if b < a else a`` and its mirror) become
-  ``_min``/``_max``, which keep ``a`` unless ``b`` compares
-  smaller/larger, as Python does; ``np.minimum``/``np.maximum`` differ on
-  NaN and on signed zero.
-- A per-path branch that presets take often (mint or redeem, a redemption
-  of no value, skim, the controller acting) becomes a ``where`` select
-  over both sides, computed under ``np.errstate``; config-level branches
-  stay ``if``s.
+- A mechanic's arithmetic is the scalar core's own: ``_advance_paths``
+  calls the ``market``, ``protocol``, ``controller`` and ``sim_engine``
+  functions that take floats or arrays, and adds only selects, ``redo``
+  flags and the glue between calls.  A redemption's value less its fee,
+  sub-step 5's emission, the skim and the controller's clamps and leak are
+  written out: shared, they slowed the scalar step or took more lines than
+  they saved (ROADMAP, *Measured and not pursued*).
+- ``exp`` comes from libm, element by element; ``np.exp`` rounds some
+  inputs differently.
+- A per-path branch that presets take often (mint or redeem, skim, the
+  controller acting) is a ``where`` select over both sides, computed under
+  ``np.errstate``.  A two-float ``min(a, b)``/``max(a, b)`` becomes
+  ``_min``/``_max``, which keep ``a`` unless ``b`` compares smaller/larger,
+  as Python does; ``np.minimum``/``np.maximum`` differ on NaN and signed
+  zero.
 - A path-step that would take any other per-path branch (a dead token, an
   ``exp`` overflow, a redemption not paid in full, a capped buyback, empty
   books, a liquidation, a mid price of 0 or less) is flagged and run again
-  by ``_advance``, so those mechanics are written once.  A NaN sets every
-  flag: a flag is always safe, a missed one loses bits.
+  by ``_advance``, whose functions keep those branches' guards.  A NaN sets
+  every flag: a flag is always safe, a missed one loses bits.
 
 A batch keeps only what ``path_summary`` reads.  The shocks are stored
 time-major, one ``(paths, n_assets + 3)`` block per step
@@ -44,6 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sim_engine
+from .controller import control_deltas
+from .market import demand_flow
+from .protocol import mint_notional, pay_pro_rata
 from .sim_engine import (
     PathSummary,
     ScenarioConfig,
@@ -66,6 +73,10 @@ def _max(a, b):
     return np.where(b > a, b, a)
 
 
+def _clip(v, lo, hi):
+    return _min(_max(v, lo), hi)
+
+
 def _exp_paths(x: np.ndarray, redo: np.ndarray) -> np.ndarray:
     """``math.exp`` of each element.  Where it may overflow (the scalar
     core's ``OverflowError``, only above log(DBL_MAX) ~ 709.78), the path is
@@ -79,48 +90,23 @@ def _exp_paths(x: np.ndarray, redo: np.ndarray) -> np.ndarray:
         return _exp_paths(np.where(over, 0.0, x), redo)
 
 
-def _demand_paths(params, base, weight, price, p_ref, trend, noise):
-    """``market.demand_flow`` on arrays of positive prices."""
-    dev = (price - p_ref) / p_ref
-    scaled_base = base * weight
-    total = (
-        scaled_base
-        + params.sentiment_gain * trend * scaled_base
-        + params.deviation_gain * dev * scaled_base
-        + params.noise_vol * weight * noise
-    )
-    return total, total - scaled_base
+def _where(on, new, old) -> tuple:
+    """``new`` where ``on`` holds, else ``old``, over two tuples of arrays."""
+    return tuple(np.where(on, n, o) for n, o in zip(new, old))
 
 
-def _mint_paths(policy, on, value, p_a, p_o, s_a, s_o, cv, rv, crypto_share):
-    """``protocol.mint`` at positive prices on the paths where ``on`` holds."""
-    w_a = policy.alpha_omega_split
-    notional = value / policy.min_collateral_ratio * (1.0 - policy.mint_fee)
-    return (
-        np.where(on, s_a + notional * w_a / p_a, s_a),
-        np.where(on, s_o + notional * (1.0 - w_a) / p_o, s_o),
-        np.where(on, cv + value * crypto_share, cv),
-        np.where(on, rv + value * (1.0 - crypto_share), rv),
-    )
-
-
-def _redeem_paths(policy, on, a_red, o_red, p_a, p_o, s_a, s_o, cv, rv, redo):
-    """``protocol.redeem`` on the paths where ``on`` holds and the
-    redemption has value.  The books pay it in full there, or the path is
-    flagged in ``redo``."""
+def _redeem(policy, on, a_red, o_red, p_a, p_o, books, redo) -> tuple:
+    """``protocol.redeem`` on the books ``(s_a, s_o, cv, rv)`` where ``on``
+    holds and the redemption has value; a path whose books cannot pay it in
+    full is flagged in ``redo``."""
+    s_a, s_o, cv, rv = books
     value = a_red * p_a + o_red * p_o
-    on = on & ~(value <= 0)
     gross = value * (1.0 - policy.redeem_fee)
     total = cv + rv
-    cv_paid = cv - gross * (cv / total)
-    rv_paid = rv - gross * (rv / total)
+    cv_paid, rv_paid = pay_pro_rata(gross, cv, rv, total)
+    on = on & ~(value <= 0)
     redo |= on & ~((gross > 0) & (gross <= total) & (cv_paid >= 0) & (rv_paid >= 0))
-    return (
-        np.where(on, _max(s_a - a_red, 0.0), s_a),
-        np.where(on, _max(s_o - o_red, 0.0), s_o),
-        np.where(on, cv_paid, cv),
-        np.where(on, rv_paid, rv),
-    )
+    return _where(on, (_max(s_a - a_red, 0.0), _max(s_o - o_red, 0.0), cv_paid, rv_paid), books)
 
 
 def _advance_paths(config, z, trend, t, p_ref, p_a, s_a, p_o, s_o, cv, rv,
@@ -151,29 +137,22 @@ def _advance_paths(config, z, trend, t, p_ref, p_a, s_a, p_o, s_o, cv, rv,
     policy = config.mint_policy
     w_a = policy.alpha_omega_split
     w_o = 1.0 - w_a
-    dmd = config.demand
-    base = tb.bases[t]
-    flow_a, resp_a = _demand_paths(dmd, base, w_a, p_a, p_ref, trend, eta)
-    flow_o, resp_o = _demand_paths(dmd, base, w_o, p_o, p_ref, trend, eta)
+    flow_a, resp_a = demand_flow(config.demand, tb.bases[t], w_a, p_a, p_ref, trend, eta)
+    flow_o, resp_o = demand_flow(config.demand, tb.bases[t], w_o, p_o, p_ref, trend, eta)
     net_inflow = flow_a + flow_o
-
-    s_a, s_o, cv, rv = _mint_paths(
-        policy, net_inflow > 0, net_inflow, p_a, p_o, s_a, s_o, cv, rv, tb.wc
-    )
-    value = -net_inflow
-    a_red = _min(value * w_a / p_a, s_a)
-    o_red = _min(value * w_o / p_o, s_o)
-    s_a, s_o, cv, rv = _redeem_paths(
-        policy, net_inflow < 0, a_red, o_red, p_a, p_o, s_a, s_o, cv, rv, redo
-    )
+    books = (s_a, s_o, cv, rv)
+    n_a, n_o, cv_in, rv_in = mint_notional(policy, net_inflow, cv, rv, tb.wc)
+    books = _where(net_inflow > 0, (s_a + n_a / p_a, s_o + n_o / p_o, cv_in, rv_in), books)
+    a_red = _min(-net_inflow * w_a / p_a, books[0])
+    o_red = _min(-net_inflow * w_o / p_o, books[1])
+    books = _redeem(policy, net_inflow < 0, a_red, o_red, p_a, p_o, books, redo)
     if config.turnover > 0:
-        s_a, s_o, cv, rv = _redeem_paths(
-            policy, True, config.turnover * s_a, config.turnover * s_o,
-            p_a, p_o, s_a, s_o, cv, rv, redo,
-        )
+        a_red, o_red = config.turnover * books[0], config.turnover * books[1]
+        books = _redeem(policy, True, a_red, o_red, p_a, p_o, books, redo)
+    s_a, s_o, cv, rv = books
 
     # -- 5: price impact
-    fee = _min(_max(fee_rate, 0.0), 1.0)
+    fee = _clip(fee_rate, 0.0, 1.0)
     reward = reward_rate
     sv_a = p_a * s_a
     sv_o = p_o * s_o
@@ -198,34 +177,25 @@ def _advance_paths(config, z, trend, t, p_ref, p_a, s_a, p_o, s_o, cv, rv,
     if config.liq_enabled:
         supply_value = (s_a + s_o) * p_ref
         redo |= ~((supply_value <= 0) | ((cv + rv) / supply_value >= target_ratio))
-    if config.skim_rate > 0:  # protocol.skim
+    if config.skim_rate > 0:  # protocol.skim, written out
         target = target_ratio * (s_a + s_o) * p_ref
         total = cv + rv
         f = 1.0 - config.skim_rate * (total - target) / total
-        over = total > target
-        cv = np.where(over, cv * f, cv)
-        rv = np.where(over, rv * f, rv)
+        cv, rv = _where(total > target, (cv * f, rv * f), (cv, rv))
 
-    # -- 7: controller
+    # -- 7: controller: control_action, then apply_action
     ctl = config.controller
     mid = 0.5 * (p_a + p_o)
     redo |= ~(mid > 0)
     d = (mid - p_ref) / p_ref
     eps = config.band.epsilon
+    current = (fee_rate, reward_rate, var_rate)
+    deltas = control_deltas(ctl, current, np.abs(d) - eps, np.where(d > 0, 1.0, -1.0), _clip)
     acts = ~(np.abs(d) <= eps)
-    excess = np.abs(d) - eps
-    sign = np.where(d > 0, 1.0, -1.0)
-    rates = []
-    for current, gain, lo, hi, neutral in (
-        (fee_rate, -sign * ctl.fee_gain, ctl.fee_min, ctl.fee_max, ctl.fee_neutral),
-        (reward_rate, sign * ctl.reward_gain, ctl.reward_min, ctl.reward_max, ctl.reward_neutral),
-        (var_rate, -sign * ctl.rate_gain, ctl.rate_min, ctl.rate_max, ctl.rate_neutral),
-    ):
-        # controller.control_action's clamped delta, then apply_action
-        delta = np.where(acts, _min(_max(current + gain * excess, lo), hi) - current, 0.0)
-        rate = _min(_max(current + delta, lo), hi)
-        rates.append(rate + ctl.leak * (neutral - rate))
-    fee_rate, reward_rate, var_rate = rates
+    limits = ((ctl.fee_min, ctl.fee_max, ctl.fee_neutral), (ctl.reward_min, ctl.reward_max, ctl.reward_neutral),
+              (ctl.rate_min, ctl.rate_max, ctl.rate_neutral))
+    rates = [_clip(c + np.where(acts, delta, 0.0), lo, hi) for c, delta, (lo, hi, _) in zip(current, deltas, limits)]
+    fee_rate, reward_rate, var_rate = (r + ctl.leak * (n - r) for r, (*_, n) in zip(rates, limits))  # the leak
 
     return (
         p_a, _max(s_a, 0.0), p_o, _max(s_o, 0.0), _max(cv, 0.0), _max(rv, 0.0),

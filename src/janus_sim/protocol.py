@@ -2,10 +2,13 @@
 treasury skim.
 
 The simulator models one aggregated user; these transitions operate on
-aggregate flows.  Each mechanic is a pure function of floats: it takes the
-token prices and supplies and the crypto/RWA collateral book values it
-touches, and returns their successor values.  The engine's step calls them
-in its frozen sub-step order.
+aggregate flows.  Each mechanic is a pure function: it takes the token
+prices and supplies and the crypto/RWA collateral book values it touches,
+and returns their successor values.  The engine's step calls them in its
+frozen sub-step order.
+
+``mint_notional`` and ``pay_pro_rata`` also take arrays over paths
+(``path_batch``); the functions that call them keep the guards.
 """
 
 from __future__ import annotations
@@ -46,22 +49,28 @@ def mint(
     rv: float,
     crypto_share: float,
 ) -> tuple[float, float, float, float]:
-    """Deposit ``value`` of collateral and mint Alpha/Omega at current prices.
-
-    Minted notional = value / min_ratio * (1 - mint_fee), split between the
-    tokens by policy (a token without a positive price mints nothing).  The
-    deposit enters the crypto book at ``crypto_share`` and the RWA book at
-    the rest.  Returns (s_a, s_o, cv, rv).
-    """
+    """Deposit ``value`` of collateral and mint Alpha/Omega at current
+    prices (``mint_notional``); a token without a positive price mints
+    nothing.  Returns (s_a, s_o, cv, rv)."""
     if value <= 0:
         raise ProtocolError("collateral value must be positive to mint")
+    n_a, n_o, cv, rv = mint_notional(policy, value, cv, rv, crypto_share)
+    if p_a > 0:
+        s_a += n_a / p_a
+    if p_o > 0:
+        s_o += n_o / p_o
+    return s_a, s_o, cv, rv
+
+
+def mint_notional(policy: MintPolicy, value, cv, rv, crypto_share) -> tuple:
+    """(Alpha notional, Omega notional, cv, rv) of a deposit of ``value``:
+    notional = value / min_ratio * (1 - mint_fee), split by policy; the
+    deposit enters the crypto book at ``crypto_share`` and the RWA book at
+    the rest.  Floats or arrays over paths; ``mint`` keeps the guards and
+    divides by the prices."""
     w_a = policy.alpha_omega_split
     notional = value / policy.min_collateral_ratio * (1.0 - policy.mint_fee)
-    if p_a > 0:
-        s_a += notional * w_a / p_a
-    if p_o > 0:
-        s_o += notional * (1.0 - w_a) / p_o
-    return s_a, s_o, cv + value * crypto_share, rv + value * (1.0 - crypto_share)
+    return notional * w_a, notional * (1.0 - w_a), cv + value * crypto_share, rv + value * (1.0 - crypto_share)
 
 
 def redeem(
@@ -100,6 +109,12 @@ def redeem(
     return 0.0 if 0.0 > s_a else s_a, 0.0 if 0.0 > s_o else s_o, cv, rv
 
 
+def pay_pro_rata(take, cv, rv, total) -> tuple:
+    """(cv, rv) after both books pay ``take`` pro rata (``total`` = cv + rv).
+    Floats or arrays; ``_pay_out`` keeps the cap and the overdraw floor."""
+    return cv - take * (cv / total), rv - take * (rv / total)
+
+
 def _pay_out(take: float, cv: float, rv: float) -> tuple[float, float]:
     """Both books pay ``take``, capped at what they hold, pro rata; a book
     that rounding would overdraw is left empty.  Returns (cv, rv).  The tail
@@ -107,8 +122,7 @@ def _pay_out(take: float, cv: float, rv: float) -> tuple[float, float]:
     total = cv + rv
     if total > 0:
         take = total if total < take else take  # min(take, total)
-        cv -= take * (cv / total)
-        rv -= take * (rv / total)
+        cv, rv = pay_pro_rata(take, cv, rv, total)
         if cv < 0.0 or rv < 0.0:  # rounding overdrew a book the payout empties
             cv, rv = 0.0 if 0.0 > cv else cv, 0.0 if 0.0 > rv else rv
     return cv, rv

@@ -37,19 +37,18 @@ only the step, the stop test and the trend.
 
 The step has a second form for ensembles: ``path_batch`` runs sub-steps 2-7
 on NumPy arrays over a range of paths, bit-identical to ``_advance`` path
-for path, and records them by the same two functions.  It has array code
-only for the branches presets take often; a path-step that takes a rare
-one (liquidation, a partial payout, a capped buyback, ...) is run again by
-``_advance``, so those mechanics exist once.  ``monte_carlo`` and
-``frontier_sweep`` split their paths into chunks and run each chunk of at
-least ``BATCH_MIN_PATHS`` paths as one batch, through
-``simulate_path(config, range)`` and ``path_summary`` on the ``PathBatch``
-it returns; smaller chunks run path by path.  Two forms exist because each
-is the faster one on its side of that threshold: a batch step has a fixed
-cost of about 0.3 ms in NumPy calls, so the scalar core wins below about
-36 paths, and ``run``, ``step_map`` and small ensembles step one path at a
-time.  The scalar core is also the reference the batch is tested against.
-Which form ran cannot show in any output.
+for path, through the mechanic functions that take floats or arrays, and
+records them by the same two functions.  It selects between the sides
+of the branches presets take often; a path-step that takes a rare one
+(liquidation, a partial payout, a capped buyback, ...) is run again by
+``_advance``, whose mechanic functions keep those branches' guards.
+``monte_carlo`` and ``frontier_sweep`` run each chunk of at least
+``BATCH_MIN_PATHS`` paths as one batch (``simulate_path(config, range)``,
+then ``path_summary`` on the ``PathBatch``), smaller chunks path by path:
+a batch step costs about 0.3 ms in NumPy calls, so the scalar core wins
+below about 36 paths, as in ``run`` and ``step_map``.  The scalar core is
+the reference the batch is tested against; which form ran cannot show in
+any output.
 
 Frontier cells that differ only in parameters the shocks and step inputs
 do not read (``_paths_key``) step the same paths, so each path's shocks,
@@ -507,8 +506,9 @@ def _advance(
     w_o = 1.0 - w_a
     dmd = config.demand
     base = tb.bases[t]
-    flow_a, resp_a = demand_flow(dmd, base, w_a, p_a, p_ref, trend, eta)
-    flow_o, resp_o = demand_flow(dmd, base, w_o, p_o, p_ref, trend, eta)
+    # a token with no positive price draws no flow
+    flow_a, resp_a = (0.0, 0.0) if p_a <= 0 else demand_flow(dmd, base, w_a, p_a, p_ref, trend, eta)
+    flow_o, resp_o = (0.0, 0.0) if p_o <= 0 else demand_flow(dmd, base, w_o, p_o, p_ref, trend, eta)
     net_inflow = flow_a + flow_o
 
     if net_inflow > 0:

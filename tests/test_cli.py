@@ -21,7 +21,7 @@ import janus_sim.path_batch as path_batch
 import janus_sim.sim_engine as sim_engine
 from janus_sim.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from janus_sim.config_io import config_to_dict, load_preset
-from janus_sim.sim_engine import TRACE_COLUMNS, FailureDef
+from janus_sim.sim_engine import TRACE_COLUMNS, FailureDef, StressKind, StressOverlay
 
 from test_sim_engine import (
     SCENARIO_KNOBS,
@@ -426,6 +426,26 @@ class TestEquilibrium:
         out = tmp_path / "o"
         assert main(["equilibrium", "--preset", preset, "--out", str(out)]) == EXIT_OK
         assert hashlib.sha256((out / "equilibrium.json").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("onset", [0, 1])
+    def test_manifest_names_the_stress_the_map_runs_under(self, onset, tmp_path, capsys):
+        # the map runs at stress clock 0: a crash from step 0 acts on every
+        # evaluation and is named, one from step 1 never acts
+        crash = StressOverlay(StressKind.CRYPTO_CRASH, onset=onset, magnitude=0.3, duration=5)
+        path = tmp_path / "crash.json"
+        path.write_text(json.dumps(config_to_dict(replace(load_preset("janus_baseline"), stress=crash))))
+        out = tmp_path / "o"
+        assert main(["equilibrium", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        err = capsys.readouterr().err
+        if onset == 0:
+            assert manifest["map_stress"] == {"kind": "crypto_crash", "magnitude": 0.3}
+            assert err == "equilibrium map under crypto_crash at t = 0, magnitude 0.3\n"
+        else:
+            assert manifest["map_stress"] is None and err == ""
+        assert sorted(json.loads((out / "equilibrium.json").read_text())) == [
+            "converged", "iterations", "residual", "spectral_radius", "stability", "x_star",
+        ]
 
     def test_solver_evaluates_the_map_on_lists(self, tmp_path, monkeypatch, capsys):
         # The solve passes lists through ``cli.step_map``; only the Jacobian's

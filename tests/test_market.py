@@ -17,6 +17,8 @@ from janus_sim.market import (
     demand_flow,
     portfolio_variance,
 )
+import janus_sim.sim_engine as sim_engine
+from janus_sim.protocol import MintPolicy
 from janus_sim.sim_engine import ConfigError
 
 from test_sim_engine import small_config
@@ -147,9 +149,19 @@ class TestNetDemand:
         params = DemandParams(base_inflow=50.0, deviation_gain=-10.0)
         assert demand_flow(params, 50.0, 1.0, 1.0, 1.0, 0.0, 0.0) == pytest.approx((50.0, 0.0))
 
-    def test_nonpositive_price_gives_zero_flow(self):
+    def test_nonpositive_price_gives_zero_flow(self, monkeypatch):
+        # demand_flow leaves this guard to the step's core (path_batch flags
+        # such a step): the full flow is the step's net inflow, the market
+        # part the flow that moves the Alpha price
         params = DemandParams(base_inflow=1.0, noise_vol=3.0)
-        assert demand_flow(params, 1.0, 1.0, 0.0, 1.0, 0.0, 2.0) == (0.0, 0.0)
+        cfg = small_config(demand=params, mint_policy=MintPolicy(1.4, alpha_omega_split=1.0))
+        moves = []
+        monkeypatch.setattr(sim_engine, "price_impact", lambda price, flow, depth: moves.append(flow) or price)
+        # base 1.0, weight 1.0, price 0.0, p_ref 1.0, trend 0.0, noise 2.0
+        out = sim_engine._advance(
+            cfg, (1.0, 1.0, 2.0, 1.0, 1.0), 0.0, 0, 1.0, 0.0, 360.0, 1.0, 360.0, 625.0, 625.0, 0.0, 0.0, 0.0
+        )
+        assert (out[9], moves[0]) == (0.0, 0.0)
 
 
 class TestPortfolioVariance:

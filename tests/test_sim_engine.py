@@ -645,6 +645,17 @@ class TestOneCore:
             assert raised is None
             assert exact(cols) == exact(simulate_path(cfg, i).columns)
 
+    def test_price_on_the_floor_is_a_hard_failure(self):
+        # min(p_a, p_o) exactly at floor * p_ref fails the record, one ulp
+        # above it does not; the books back the supply twice over
+        failure = FailureDef(floor=0.5)
+        p_ref = 1.02
+        on = failure.floor * p_ref
+        p_a = np.array([on, 1.0, math.nextafter(on, math.inf), on])
+        p_o = np.array([1.0, on, 1.0, math.nextafter(on, 0.0)])
+        _, hard, *_ = sim_engine.record_flags(failure, p_a, p_o, p_ref, 0.0, 2.0, 100.0, 100.0, 408.0)
+        assert hard.tolist() == [True, True, False, True]
+
     def test_step_map_takes_the_stress_at_clock_zero(self):
         # an overlay from step 0 reaches the map: a crash drops the crypto book
         calm = replace(load_preset("janus_baseline"), horizon=40)
@@ -845,7 +856,7 @@ class TestPathBatch:
         s_a, s_o, zeros, ones = 2.0 * a_red, np.full(n, 10.0), np.zeros(n), np.ones(n)
         policy = MintPolicy(min_collateral_ratio=1.0)
         redo = np.zeros(n, dtype=bool)
-        out = path_batch._redeem_paths(policy, True, a_red, zeros, ones, ones, s_a, s_o, cv, rv, redo)
+        out = path_batch._redeem(policy, True, a_red, zeros, ones, ones, (s_a, s_o, cv, rv), redo)
         for j in np.flatnonzero(~redo).tolist():
             a, sa, so, c, r = (float(v[j]) for v in (a_red, s_a, s_o, cv, rv))
             scalar = redeem(policy, a, 0.0, 1.0, 1.0, sa, so, c, r)
