@@ -1,9 +1,12 @@
 """Command-line entry point: run | mc | frontier | equilibrium.
 
-Outputs are machine-readable (CSV traces, JSON summaries) with frozen column
-order and field names.  Every command writes a ``manifest.json`` sufficient
-to reproduce the run and uses write-to-temp, rename-on-success so no partial
-files survive an error.
+``main`` loads the config and calls the command, which only computes and
+returns an ``Outcome``.  If it holds files, ``main`` makes the output
+directory, writes each file to a temp that is renamed on success and removed
+on error, then writes ``manifest.json``, sufficient to reproduce the run.  A
+call with no file to write (a config error, an ``equilibrium`` that exits 3)
+makes no directory.  Outputs are machine-readable (CSV traces, JSON
+summaries) with frozen column order and field names.
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical divergence.
 """
@@ -16,6 +19,7 @@ import os
 import sys
 import time
 from dataclasses import replace
+from typing import NamedTuple
 
 from . import __version__
 from .config_io import (
@@ -53,11 +57,28 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
+class Outcome(NamedTuple):
+    """What a command computed: ``files`` maps each output's name to its
+    text, in write order; ``line`` goes to stdout on success and to stderr
+    otherwise; ``map_stress`` goes into the manifest."""
+
+    files: dict[str, str]
+    n_paths: int
+    code: int = EXIT_OK
+    line: str = ""
+    map_stress: dict | None = None
+
+
 def _atomic_write(path: str, text: str):
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _json_text(obj) -> str:
@@ -90,31 +111,13 @@ def _workers(args) -> int:
     return n
 
 
-def _write_manifest(out_dir: str, config: ScenarioConfig, n_paths: int, outputs: list[str], t0: float, map_stress=None):
-    manifest = {
-        "build": f"janus-sim {__version__}",
-        "config_hash": config_hash(config),
-        "seed": config.seed,
-        "n_paths": n_paths,
-        "outputs": sorted(outputs),
-        "duration_seconds": time.perf_counter() - t0,
-        "map_stress": map_stress,
-    }
-    _atomic_write(os.path.join(out_dir, "manifest.json"), _json_text(manifest))
-
-
-def cmd_run(args) -> int:
-    t0 = time.perf_counter()
-    config = _load(args)
-    os.makedirs(args.out, exist_ok=True)
+def cmd_run(args, config: ScenarioConfig) -> Outcome:
     trace = simulate_path(config, path_index=0)
     summary = path_summary(trace, config, path_index=0)
 
     lines = [",".join(TRACE_COLUMNS)]
     for row in trace.rows():
         lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(os.path.join(args.out, "trace.csv"), "\n".join(lines) + "\n")
-
     payload = {
         "seed": config.seed,
         "horizon": config.horizon,
@@ -127,22 +130,15 @@ def cmd_run(args) -> int:
         "terminal_p_ref": summary.terminal_p_ref,
         "inflow_r2": summary.inflow_r2,
     }
-    _atomic_write(os.path.join(args.out, "summary.json"), _json_text(payload))
-    _write_manifest(args.out, config, 1, ["trace.csv", "summary.json"], t0)
+    files = {"trace.csv": "\n".join(lines) + "\n", "summary.json": _json_text(payload)}
     if trace.diverged:
-        print(
-            f"simulation diverged at step {trace.columns['t'][-1]} of {config.horizon}",
-            file=sys.stderr,
-        )
-        return EXIT_DIVERGED
-    return EXIT_OK
+        t = trace.columns["t"][-1]
+        return Outcome(files, 1, EXIT_DIVERGED, f"simulation diverged at step {t} of {config.horizon}")
+    return Outcome(files, 1)
 
 
-def cmd_mc(args) -> int:
-    t0 = time.perf_counter()
-    config = _load(args)
+def cmd_mc(args, config: ScenarioConfig) -> Outcome:
     workers = _workers(args)
-    os.makedirs(args.out, exist_ok=True)
     summary = monte_carlo(config, args.paths, workers)
     point = trilemma_point(config.governance, summary)
     ponzi = ponzi_report(summary)
@@ -172,9 +168,7 @@ def cmd_mc(args) -> int:
             "verdict": str(ponzi.verdict),
         },
     }
-    _atomic_write(os.path.join(args.out, "ensemble.json"), _json_text(payload))
-    _write_manifest(args.out, config, args.paths, ["ensemble.json"], t0)
-    return EXIT_OK
+    return Outcome({"ensemble.json": _json_text(payload)}, args.paths)
 
 
 def _load_grid(args) -> dict:
@@ -198,12 +192,9 @@ def _load_grid(args) -> dict:
     return grid
 
 
-def cmd_frontier(args) -> int:
-    t0 = time.perf_counter()
-    config = _load(args)
+def cmd_frontier(args, config: ScenarioConfig) -> Outcome:
     workers = _workers(args)
     grid = _load_grid(args)
-    os.makedirs(args.out, exist_ok=True)
     points = frontier_sweep(config, grid, args.paths, workers)
     keys = list(grid.keys())
     lines = [",".join(keys + ["d", "e", "s", "pareto"])]
@@ -211,15 +202,10 @@ def cmd_frontier(args) -> int:
         cells = [json.dumps(p.overrides[k]) if isinstance(p.overrides[k], list) else _fmt(p.overrides[k]) for k in keys]
         cells = [c.replace(",", ";") for c in cells]
         lines.append(",".join(cells + [_fmt(p.d), _fmt(p.e), _fmt(p.s), str(int(p.pareto))]))
-    _atomic_write(os.path.join(args.out, "frontier.csv"), "\n".join(lines) + "\n")
-    _write_manifest(args.out, config, args.paths, ["frontier.csv"], t0)
-    return EXIT_OK
+    return Outcome({"frontier.csv": "\n".join(lines) + "\n"}, args.paths)
 
 
-def cmd_equilibrium(args) -> int:
-    t0 = time.perf_counter()
-    config = _load(args)
-    os.makedirs(args.out, exist_ok=True)
+def cmd_equilibrium(args, config: ScenarioConfig) -> Outcome:
     # the map's stress clock stays at 0: a window over step 0 acts on every evaluation
     stress = config.stress if config.stress is not None and config.stress.active(0) else None
     map_stress = None if stress is None else {"kind": stress.kind.value, "magnitude": stress.magnitude}
@@ -233,20 +219,15 @@ def cmd_equilibrium(args) -> int:
     try:
         report = find_fixed_point(F, x0)
     except SolverError as exc:
-        print(f"equilibrium solve diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+        return Outcome({}, 0, EXIT_DIVERGED, f"equilibrium solve diverged: {exc}")
     if not report.converged:
-        print(
-            f"equilibrium solve did not converge; last residual {report.residual:.6e}",
-            file=sys.stderr,
-        )
-        return EXIT_DIVERGED
+        residual = f"{report.residual:.6e}"
+        return Outcome({}, 0, EXIT_DIVERGED, f"equilibrium solve did not converge; last residual {residual}")
     try:
         J = jacobian_fd(F, report.x_star)
         rho = spectral_radius(J)
     except SolverError as exc:
-        print(f"stability analysis diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+        return Outcome({}, 0, EXIT_DIVERGED, f"stability analysis diverged: {exc}")
     stability = classify_stability(rho)
     payload = {
         "x_star": report.x_star.tolist(),
@@ -256,10 +237,8 @@ def cmd_equilibrium(args) -> int:
         "spectral_radius": rho,
         "stability": stability.value,
     }
-    _atomic_write(os.path.join(args.out, "equilibrium.json"), _json_text(payload))
-    _write_manifest(args.out, config, 0, ["equilibrium.json"], t0, map_stress=map_stress)
-    print(f"stability: {stability.value} (spectral radius {rho:.6f})")
-    return EXIT_OK
+    line = f"stability: {stability.value} (spectral radius {rho:.6f})"
+    return Outcome({"equilibrium.json": _json_text(payload)}, 0, EXIT_OK, line, map_stress)
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -302,16 +281,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        config = _load(args)
+        files, n_paths, code, line, map_stress = args.func(args, config)
+        if files:
+            os.makedirs(args.out, exist_ok=True)
+            for name, text in files.items():
+                _atomic_write(os.path.join(args.out, name), text)
+            manifest = {
+                "build": f"janus-sim {__version__}",
+                "config_hash": config_hash(config),
+                "seed": config.seed,
+                "n_paths": n_paths,
+                "outputs": sorted(files),
+                "duration_seconds": time.perf_counter() - t0,
+                "map_stress": map_stress,
+            }
+            _atomic_write(os.path.join(args.out, "manifest.json"), _json_text(manifest))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if line:
+        print(line, file=sys.stdout if code == EXIT_OK else sys.stderr)
+    return code
 
 
 def console_main():

@@ -390,9 +390,8 @@ def shock_width(config: ScenarioConfig) -> int:
 def price_impact(price: float, net_flow: float, depth: float, exp=math.exp) -> float:
     """Exponential impact: positive flow raises price, zero flow is identity.
     ``price`` and ``net_flow`` are floats, or arrays over paths with an
-    element-wise ``exp`` (see ``market.book_return_factors``)."""
-    if depth <= 0:
-        raise ConfigError("market depth must be positive")
+    element-wise ``exp`` (see ``market.book_return_factors``).  ``depth`` is
+    positive: ``ScenarioConfig`` rejects any other."""
     return price * exp(net_flow / depth)
 
 

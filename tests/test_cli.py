@@ -21,6 +21,7 @@ import janus_sim.path_batch as path_batch
 import janus_sim.sim_engine as sim_engine
 from janus_sim.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from janus_sim.config_io import config_to_dict, load_preset
+from janus_sim.controller import SolverError
 from janus_sim.sim_engine import TRACE_COLUMNS, FailureDef, StressKind, StressOverlay
 
 from test_sim_engine import (
@@ -146,6 +147,14 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--out", str(out)] + extra) == code
         assert hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest() == digest
+
+    def test_failed_write_leaves_no_tmp_file(self, tmp_path, capsys):
+        # renaming the trace over a directory fails after its temp is written
+        out = tmp_path / "out"
+        (out / "trace.csv").mkdir(parents=True)
+        assert main(["run", "--preset", "janus_baseline", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+        assert [p.name for p in out.iterdir()] == ["trace.csv"]
 
 
 class TestMc:
@@ -580,3 +589,99 @@ class TestErrors:
         code = main(["mc", "--config", str(path), "--paths", paths, "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
+
+
+def small_data():
+    return config_to_dict(small_config(horizon=60))
+
+
+def zero_depth_data():
+    data = config_to_dict(small_config())
+    data["market"]["depth_omega"] = 0.0
+    return data
+
+
+def crash_at_start_data():
+    crash = StressOverlay(StressKind.CRYPTO_CRASH, onset=0, magnitude=0.3, duration=5)
+    return config_to_dict(replace(load_preset("janus_baseline"), stress=crash))
+
+
+def raise_solver_error(*args):
+    raise SolverError("probe")
+
+
+MISSING = "config error: cannot read config file: [Errno 2] No such file or directory: 'missing.json'\n"
+WORKERS = "config error: --workers must be >= 1\n"
+
+# Every exit path of every command: (arguments, config data written to the
+# --config file or None, the cli function swapped for one that raises
+# SolverError or None, exit code, stdout, stderr, the manifest's outputs or
+# None when no directory may be made).
+CONTRACT = {
+    "run": (["run"], small_data, None, EXIT_OK, "", "", ["summary.json", "trace.csv"]),
+    "mc": (["mc", "--paths", "5"], small_data, None, EXIT_OK, "", "", ["ensemble.json"]),
+    "frontier": (["frontier", "--paths", "2"], small_data, None, EXIT_OK, "", "", ["frontier.csv"]),
+    "equilibrium": (
+        ["equilibrium", "--preset", "janus_baseline"], None, None, EXIT_OK,
+        "stability: stable (spectral radius 0.917244)\n", "", ["equilibrium.json"],
+    ),
+    "equilibrium_under_stress": (
+        ["equilibrium"], crash_at_start_data, None, EXIT_OK, "stability: stable (spectral radius 0.924069)\n",
+        "equilibrium map under crypto_crash at t = 0, magnitude 0.3\n", ["equilibrium.json"],
+    ),
+    "run_diverges": (
+        ["run", "--seed", "1"], lambda: config_to_dict(diverging_config(horizon=30)), None, EXIT_DIVERGED,
+        "", "simulation diverged at step 3 of 30\n", ["summary.json", "trace.csv"],
+    ),
+    "equilibrium_does_not_converge": (
+        ["equilibrium", "--preset", "ust_like"], None, None, EXIT_DIVERGED,
+        "", "equilibrium solve did not converge; last residual 7.656367e-01\n", None,
+    ),
+    "equilibrium_solve_raises": (
+        ["equilibrium", "--preset", "janus_baseline"], None, "find_fixed_point", EXIT_DIVERGED,
+        "", "equilibrium solve diverged: probe\n", None,
+    ),
+    "equilibrium_jacobian_raises": (
+        ["equilibrium", "--preset", "janus_baseline"], None, "jacobian_fd", EXIT_DIVERGED,
+        "", "stability analysis diverged: probe\n", None,
+    ),
+    **{
+        f"{command}_missing_config": (
+            [command, "--config", "missing.json"], None, None, EXIT_CONFIG, "", MISSING, None,
+        )
+        for command in ("run", "mc", "frontier", "equilibrium")
+    },
+    "run_zero_depth": (
+        ["run"], zero_depth_data, None, EXIT_CONFIG, "", "config error: market depths must be positive\n", None,
+    ),
+    "mc_no_workers": (["mc", "--workers", "0"], small_data, None, EXIT_CONFIG, "", WORKERS, None),
+    "frontier_no_workers": (["frontier", "--workers", "0"], small_data, None, EXIT_CONFIG, "", WORKERS, None),
+    "frontier_bad_grid": (
+        ["frontier", "--grid", "scenario.json"], small_data, None, EXIT_CONFIG,
+        "", "config error: sweep grid must be a non-empty object of non-empty lists\n", None,
+    ),
+}
+
+
+class TestContract:
+    """Each exit path keeps its exit code and its exact stdout and stderr,
+    and leaves an output directory that holds exactly the manifest's
+    outputs and the manifest, or no directory."""
+
+    @pytest.mark.parametrize("name", list(CONTRACT))
+    def test_exit_path(self, name, tmp_path, monkeypatch, capsys):
+        argv, data, raising, code, stdout, stderr, outputs = CONTRACT[name]
+        monkeypatch.chdir(tmp_path)
+        if data is not None:
+            Path("scenario.json").write_text(json.dumps(data()))
+            argv = argv + ["--config", "scenario.json"]
+        if raising is not None:
+            monkeypatch.setattr(cli, raising, raise_solver_error)
+        assert main(argv + ["--out", "out"]) == code
+        assert capsys.readouterr() == (stdout, stderr)
+        if outputs is None:
+            assert not Path("out").exists()
+        else:
+            manifest = json.loads(Path("out/manifest.json").read_text())
+            assert manifest["outputs"] == outputs
+            assert sorted(p.name for p in Path("out").iterdir()) == sorted(outputs + ["manifest.json"])

@@ -129,8 +129,11 @@ class TestPriceImpact:
         assert p == pytest.approx(2.0)
 
     def test_bad_depth_rejected(self):
-        with pytest.raises(ConfigError):
-            price_impact(1.0, 1.0, 0.0)
+        # the config is the one home of the check: price_impact trusts its depth
+        for field in ("depth_alpha", "depth_omega"):
+            for depth in (0.0, -1.0):
+                with pytest.raises(ConfigError, match="market depths must be positive"):
+                    small_config(**{field: depth})
 
 
 class TestConfigValidation:
