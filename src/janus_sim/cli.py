@@ -3,7 +3,9 @@
 ``main`` loads the config and calls the command, which only computes and
 returns an ``Outcome``.  If it holds files, ``main`` makes the output
 directory, writes each file to a temp that is renamed on success and removed
-on error, then writes ``manifest.json``, sufficient to reproduce the run.  A
+on error, then writes ``manifest.json``, sufficient to reproduce the run.
+The set is all or nothing: when a write fails, the files the call has
+written are removed, and an older manifest was removed before the first.  A
 call with no file to write (a config error, an ``equilibrium`` that exits 3)
 makes no directory.  Outputs are machine-readable (CSV traces, JSON
 summaries) with frozen column order and field names.
@@ -78,6 +80,29 @@ def _atomic_write(path: str, text: str):
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
+        raise
+
+
+def _write_outputs(out: str, files: dict[str, str], manifest: dict, t0: float):
+    """Write ``files`` into ``out`` in their order, then ``manifest.json``
+    with the run's duration since ``t0``, all or nothing: an older
+    ``manifest.json`` is removed first, and when a write fails, the files
+    this call has written are removed before the error propagates."""
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, "manifest.json")
+    if os.path.lexists(path):
+        os.remove(path)
+    written = []
+    try:
+        for name, text in files.items():
+            target = os.path.join(out, name)
+            _atomic_write(target, text)
+            written.append(target)
+        manifest["duration_seconds"] = time.perf_counter() - t0
+        _atomic_write(path, _json_text(manifest))
+    except BaseException:
+        for target in written:
+            os.remove(target)
         raise
 
 
@@ -287,19 +312,15 @@ def main(argv=None) -> int:
         config = _load(args)
         files, n_paths, code, line, map_stress = args.func(args, config)
         if files:
-            os.makedirs(args.out, exist_ok=True)
-            for name, text in files.items():
-                _atomic_write(os.path.join(args.out, name), text)
             manifest = {
                 "build": f"janus-sim {__version__}",
                 "config_hash": config_hash(config),
                 "seed": config.seed,
                 "n_paths": n_paths,
                 "outputs": sorted(files),
-                "duration_seconds": time.perf_counter() - t0,
                 "map_stress": map_stress,
             }
-            _atomic_write(os.path.join(args.out, "manifest.json"), _json_text(manifest))
+            _write_outputs(args.out, files, manifest, t0)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -3,9 +3,10 @@
 The protocol state is the vector's floats: the 9 header entries the engine's
 core steps and the holding units derived from the collateral books.  Its
 layout and clamp rule are written here and nowhere else: ``from_vector``
-reads a list or an array under the clamp rule into ``(head, units)``;
-``to_list`` and ``to_vector`` write one.  ``sim_engine.step_map`` and the
-``cli``'s start point use them.  Order (for k collateral holdings):
+reads a list or an array under the clamp rule into ``(head, units)``, and
+``read_head`` its head alone; ``to_list`` and ``to_vector`` write one.
+``sim_engine.step_map`` reads its head and writes a list, and the ``cli``'s
+start point writes one.  Order (for k collateral holdings):
 
     0            alpha price
     1            alpha supply
@@ -114,11 +115,10 @@ def band_bounds(p_ref: float, band: PegBand) -> tuple[float, float]:
     return p_ref - half, p_ref + half
 
 
-def from_vector(v, n_holdings: int) -> tuple[list[float], list[float]]:
-    """(head, units) of a state vector (a list of floats, read with no numpy
-    call, or a 1-D float array-like) for ``n_holdings`` holdings, as floats
-    under the clamp rule; the retired slots are dropped.  ``head`` holds the
-    9 header entries, ``units`` the holding units."""
+def _entries(v, n_holdings: int) -> list[float]:
+    """The entries of a state vector (a list of floats, read with no numpy
+    call, or a 1-D float array-like) for ``n_holdings`` holdings, as floats;
+    a wrong length raises ``StateError``."""
     if isinstance(v, list):
         vals, shape = v, (len(v),)
     else:
@@ -127,11 +127,28 @@ def from_vector(v, n_holdings: int) -> tuple[list[float], list[float]]:
     dim = HEADER_DIM + n_holdings + RETIRED_DIM
     if shape != (dim,):
         raise StateError(f"state vector has length {shape}, expected ({dim},)")
+    return vals
+
+
+def _clamped_head(vals: list[float]) -> list[float]:
     # ``0.0 if x <= 0.0 else x`` is np.maximum(x, 0.0) on one float:
     # Python's max(-0.0, 0.0) would keep the -0.0.
-    head = [0.0 if x <= 0.0 else x for x in vals[:6]] + vals[6:HEADER_DIM]
+    return [0.0 if x <= 0.0 else x for x in vals[:6]] + vals[6:HEADER_DIM]
+
+
+def from_vector(v, n_holdings: int) -> tuple[list[float], list[float]]:
+    """(head, units) of a state vector for ``n_holdings`` holdings, as floats
+    under the clamp rule; the retired slots are dropped.  ``head`` holds the
+    9 header entries, ``units`` the holding units."""
+    vals = _entries(v, n_holdings)
     units = [0.0 if x <= 0.0 else x for x in vals[HEADER_DIM:-RETIRED_DIM]]
-    return head, units
+    return _clamped_head(vals), units
+
+
+def read_head(v, n_holdings: int) -> list[float]:
+    """``from_vector``'s head alone, under the same length check and clamp
+    rule, without building the units."""
+    return _clamped_head(_entries(v, n_holdings))
 
 
 _RETIRED = (0.0,) * RETIRED_DIM

@@ -126,8 +126,8 @@ def book_return_factors(
     and RWA books move by the weight-averaged factor of their assets (1 for
     an empty book).  Entries of ``z`` past the last asset are ignored, so the
     step can pass its whole shock row.  ``z[j]`` is a float, or an array
-    over paths in ``path_batch``, which passes an element-wise ``exp`` that
-    flags an overflow instead of raising it.
+    over steps and paths in ``path_batch``, which passes an element-wise
+    ``exp`` that flags an overflow instead of raising it.
     """
     fcs = fcw = frs = frw = 0.0
     for i in range(len(drift)):

@@ -5,10 +5,11 @@ array over the paths.
 ``simulate_batch`` runs sub-steps 2-7 of ``sim_engine._advance`` and the
 trend and stop test of ``simulate_path`` on arrays of paths that share the
 step clock, and records the steps by ``sim_engine``'s ``record_flags`` and
-``fold_failed``.  Each step's inputs come from ``sim_engine.step_inputs``
-on the step's shock rows, one array over the paths per shock column.  Each
-path's floats are bit-identical to those of ``simulate_path`` on that path
-alone.  Four rules keep them so:
+``fold_failed``.  It works a block of up to ``BLOCK_STEPS`` steps at a
+time: one ``sim_engine.step_inputs`` call gives the block's inputs, one
+``(steps, paths)`` array per shock column, and one ``record_flags`` call its
+records.  Each path's floats are bit-identical to those of
+``simulate_path`` on that path alone.  Four rules keep them so:
 
 - A mechanic's arithmetic is the scalar core's own: ``_advance_paths``
   calls the ``market``, ``protocol``, ``controller`` and ``sim_engine``
@@ -17,8 +18,10 @@ alone.  Four rules keep them so:
   sub-step 5's emission, the skim and the controller's clamps and leak are
   written out: shared, they slowed the scalar step or took more lines than
   they saved (ROADMAP, *Measured and not pursued*).
-- ``exp`` comes from libm, element by element; ``np.exp`` rounds some
-  inputs differently.
+- ``exp`` is libm's, as ``math.exp`` takes it: ``_exp_paths`` calls NumPy's
+  complex ``exp``, which is libm's ``cexp`` and gives ``math.exp``'s bits on
+  a zero imaginary part; ``np.exp`` on floats rounds some inputs
+  differently.
 - A per-path branch that presets take often (mint or redeem, skim, the
   controller acting) is a ``where`` select over both sides, computed under
   ``np.errstate``.  A two-float ``min(a, b)``/``max(a, b)`` becomes
@@ -26,23 +29,22 @@ alone.  Four rules keep them so:
   as Python does; ``np.minimum``/``np.maximum`` differ on NaN and signed
   zero.
 - A path-step that would take any other per-path branch (a dead token, an
-  ``exp`` overflow, a redemption not paid in full, a capped buyback, empty
-  books, a liquidation, a mid price of 0 or less) is flagged and run again
-  by ``_advance``, whose functions keep those branches' guards.  A NaN sets
-  every flag: a flag is always safe, a missed one loses bits.
+  ``exp`` above 709.0, a redemption not paid in full, a capped buyback,
+  empty books, a liquidation, a mid price of 0 or less) is flagged and run
+  again by ``_advance``, whose functions keep those branches' guards.  A NaN
+  sets every flag: a flag is always safe, a missed one loses bits.
 
 A batch keeps only what ``path_summary`` reads.  The shocks are stored
 time-major, one ``(paths, n_assets + 3)`` block per step
-(``batch_shocks``), and each step's record overwrites the shock slots the
-step has consumed, so a batch holds little more than its shocks.  Frontier
-cells that step the same paths make the shocks once and each batch one
-copy.  ``sim_engine`` imports this module on first use: ``run`` and
-``equilibrium`` never compile it.
+(``batch_shocks``), and once a block of steps is done its records overwrite
+the shock slots the block has consumed, so a batch holds little more than
+its shocks.  Frontier cells that step the same paths make the shocks once
+and each batch one copy.  ``sim_engine`` imports this module on first use:
+``run`` and ``equilibrium`` never compile it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +67,10 @@ from .sim_engine import (
 )
 
 
+# Steps whose inputs and records a batch computes together (see ``_blocks``).
+BLOCK_STEPS = 32
+
+
 def _min(a, b):
     return np.where(b < a, b, a)
 
@@ -78,16 +84,16 @@ def _clip(v, lo, hi):
 
 
 def _exp_paths(x: np.ndarray, redo: np.ndarray) -> np.ndarray:
-    """``math.exp`` of each element.  Where it may overflow (the scalar
-    core's ``OverflowError``, only above log(DBL_MAX) ~ 709.78), the path is
-    flagged in ``redo``."""
-    values = x.tolist()
-    try:
-        return np.fromiter(map(math.exp, values), float, len(values))
-    except OverflowError:
-        over = x > 709.0
-        redo |= over
-        return _exp_paths(np.where(over, 0.0, x), redo)
+    """``math.exp`` of each element, bit for bit, up to 709.0: NumPy's
+    complex ``exp`` is libm's ``cexp``, which returns ``exp(x) * 1.0`` for
+    ``x + 0j`` there and rescales above.  An element above 709.0 flags its
+    path-step in ``redo`` and its value is garbage; the scalar core runs the
+    step again and raises where ``math.exp`` overflows (above log(DBL_MAX)
+    ~ 709.78).  A NaN stays NaN and is not flagged, as ``math.exp`` passes
+    it."""
+    redo |= x > 709.0
+    z = x.astype(np.complex128)
+    return np.exp(z, out=z).real
 
 
 def _where(on, new, old) -> tuple:
@@ -109,21 +115,21 @@ def _redeem(policy, on, a_red, o_red, p_a, p_o, books, redo) -> tuple:
     return _where(on, (_max(s_a - a_red, 0.0), _max(s_o - o_red, 0.0), cv_paid, rv_paid), books)
 
 
-def _advance_paths(config, z, trend, t, p_ref, p_a, s_a, p_o, s_o, cv, rv,
+def _advance_paths(config, inputs, redo, trend, t, p_ref, p_a, s_a, p_o, s_o, cv, rv,
                    fee_rate, reward_rate, var_rate):
-    """``_advance`` on arrays of paths that share the clock ``t``; ``z``
-    holds one shock row per path, whose inputs come from ``step_inputs``.
-    Returns ``_advance``'s ten arrays and the mask of paths whose step
-    ``_advance`` must run again (their values are garbage).  Writes none of
-    its inputs."""
+    """``_advance`` on arrays of paths that share the clock ``t``; ``inputs``
+    holds the step's ``step_inputs``, one array over the paths each, and
+    ``redo`` the paths whose inputs overflowed.  Returns ``_advance``'s ten
+    arrays and the mask of paths whose step ``_advance`` must run again
+    (their values are garbage).  Writes none of its inputs."""
     tb = config.tables
-    redo = ~((p_a > 0) & (p_o > 0))
+    redo = redo | ~((p_a > 0) & (p_o > 0))
 
     def exp(x):
         return _exp_paths(x, redo)
 
     # -- 2: collateral market move
-    ((f_crypto, f_rwa, eta, micro_a, micro_o),) = step_inputs(config, (z.T,), t, exp)
+    f_crypto, f_rwa, eta, micro_a, micro_o = inputs
     cv = cv * f_crypto
     rv = rv * f_rwa
 
@@ -210,11 +216,12 @@ class PathBatch:
 
     ``steps[t, j]`` holds the record of step t + 1 of path ``paths[j]`` in
     its first four slots (efficiency, mid price, net inflow, supply value);
-    the step's shock row filled that row until the step consumed it.
-    ``in_band[t, j]`` is the record's in-band flag.  Per path: the number
-    of records, whether the path diverged, the last record's failure flag
-    and its prices and collateral books.  ``len()`` is the number of
-    records of all paths.
+    the step's shock row filled that row until the step's block of steps
+    was done.  ``in_band[t, j]`` is the record's in-band flag.  Rows past a
+    path's last record hold no meaning.  Per path: the number of records,
+    whether the path diverged, the last record's failure flag and its
+    prices and collateral books.  ``len()`` is the number of records of all
+    paths.
     """
 
     paths: range
@@ -245,15 +252,26 @@ def batch_shocks(config: ScenarioConfig, paths: range) -> np.ndarray:
     return steps
 
 
+def _blocks(tables, horizon: int):
+    """The steps 0..horizon-1 cut into ranges ``(t0, t1)`` of at most
+    ``BLOCK_STEPS`` steps whose step inputs ``step_inputs`` computes with one
+    clock ``t0``: the asset vols and crash drop stay the same within each."""
+    t0 = 0
+    while t0 < horizon:
+        key = (tables.sigmas[t0], tables.crash_drops[t0])
+        t1 = t0 + 1
+        while t1 < min(t0 + BLOCK_STEPS, horizon) and (tables.sigmas[t1], tables.crash_drops[t1]) == key:
+            t1 += 1
+        yield t0, t1
+        t0 = t1
+
+
 def simulate_batch(config: ScenarioConfig, paths: range, steps: np.ndarray | None = None) -> PathBatch:
-    """``simulate_path``'s loop on the paths of ``paths`` at once, with
-    ``record_flags`` on each step's arrays and one ``fold_failed`` at the
-    end.  Each step's inputs come from ``step_inputs`` on the step's rows of
-    ``steps`` (by default ``batch_shocks``), which the batch overwrites.  A
-    path-step that ``_advance_paths`` flags is run again by ``_advance`` on
-    the inputs of its row alone, and records the zeroed state if it raises
-    there.  A path that stops (its step raised or left a non-finite value)
-    leaves the arrays."""
+    """``simulate_path``'s loop on the paths of ``paths`` at once, a block of
+    steps (``_blocks``) at a time (``_run_block``), on their rows of
+    ``steps`` (by default ``batch_shocks``), which the batch overwrites.
+    One ``fold_failed`` runs at the end.  A path that stops (its step raised
+    or left a non-finite value) leaves the arrays."""
     n_paths = len(paths)
     horizon = config.horizon
     if steps is None:
@@ -273,56 +291,97 @@ def simulate_batch(config: ScenarioConfig, paths: range, steps: np.ndarray | Non
     hard = np.zeros((horizon, n_paths), dtype=bool)
 
     head, _ = initial_state(config)
-    state = [np.full(n_paths, v) for v in head]
-    trend = np.zeros(n_paths)
-    prev_mid = np.full(n_paths, 0.5 * (head[0] + head[2]))
-    live = np.arange(n_paths)  # batch positions of the paths still running
-    tb = config.tables
+    # the batch positions of the paths still running, their state, trend and
+    # previous mid price
+    run = (
+        np.arange(n_paths), [np.full(n_paths, v) for v in head], np.zeros(n_paths),
+        np.full(n_paths, 0.5 * (head[0] + head[2])),
+    )
     with np.errstate(all="ignore"):
-        for t in range(horizon):
-            at = slice(None) if len(live) == n_paths else live
-            p_ref = tb.p_refs[t]
-            z = steps[t, at]
-            start = state
-            *state, net_inflow, redo = _advance_paths(config, z, trend, t, p_ref, *start)
-            raised = np.zeros(len(redo), dtype=bool)
-            for j in np.flatnonzero(redo):  # the scalar core runs the path-step again
-                try:
-                    (inputs,) = step_inputs(config, (z[j].tolist(),), t)
-                    out = _advance(
-                        config, inputs, float(trend[j]), t, p_ref, *(float(v[j]) for v in start)
-                    )
-                except OverflowError:
-                    raised[j] = True
-                    out = (0.0,) * 10
-                for v, x in zip((*state, net_inflow), out):
-                    v[j] = x
-            p_a, s_a, p_o, s_o, cv, rv = state[:6]
-            c_total = cv + rv
-            batch.in_band[t, at], hard[t, at], mid, supply_value, eff = record_flags(
-                config.failure, p_a, p_o, p_ref, tb.band_lo[t], tb.band_hi[t], s_a, s_o, c_total
-            )
-            trend = np.where(prev_mid > 0, (mid - prev_mid) / prev_mid, 0.0)
-            prev_mid = mid
-            steps[t, at, :4] = np.stack((eff, mid, net_inflow, supply_value), axis=1)
-
-            stop = raised | ~(np.isfinite(mid) & np.isfinite(c_total))
-            if stop.any():
-                gone = live[stop]
-                batch.lengths[gone] = t + 1
-                batch.diverged[gone] = True
-                _set_ends(batch, gone, *(v[stop] for v in (p_a, p_o, cv, rv)))
-                keep = ~stop
-                live = live[keep]
-                state = [v[keep] for v in state]
-                trend, prev_mid = trend[keep], prev_mid[keep]
-                if not len(live):
-                    break
+        for t0, t1 in _blocks(config.tables, horizon):
+            run = _run_block(config, batch, hard, t0, t1, *run)
+            if not len(run[0]):
+                break
+    live, state = run[:2]
     p_a, _, p_o, _, cv, rv = state[:6]
     _set_ends(batch, live, p_a, p_o, cv, rv)
     failed = fold_failed(config.failure, batch.in_band, hard)
     batch.failed = failed[batch.lengths - 1, np.arange(n_paths)]
     return batch
+
+
+def _run_block(config, batch, hard, t0, t1, live, state, trend, prev_mid) -> tuple:
+    """Steps t0..t1-1, a block of ``_blocks``, of the paths at batch
+    positions ``live``, from their state (``_advance_paths``' arrays), trend
+    and previous mid price; returns those of the paths still running.
+
+    The block's step inputs come from one ``step_inputs`` call on its rows of
+    ``batch.steps``, one ``(steps, paths)`` array per shock column.  Each
+    step keeps its raw record, and ``record_flags`` runs once on the block's
+    records, which then overwrite the block's shock slots and fill its rows
+    of ``batch.in_band`` and ``hard``.  A path-step that ``_advance_paths``
+    or the inputs' ``exp`` flags is run again by ``_advance`` on the inputs
+    of its shock row alone, still intact until the block ends, and records
+    the zeroed state if it raises there.  Once a path has stopped, the
+    block's arrays are indexed by the live paths' positions in the block.
+    They are freed on return, so none is held while ``fold_failed`` runs,
+    which would raise the batch's peak memory."""
+    tb = config.tables
+    steps = batch.steps
+    at = slice(None) if len(live) == len(batch.paths) else live  # the block's paths
+    rows = steps[t0:t1, at]
+    shape = rows.shape[:2]
+    in_redo = np.zeros(shape, dtype=bool)
+    (inputs,) = step_inputs(config, (np.moveaxis(rows, 2, 0),), t0, lambda x: _exp_paths(x, in_redo))
+    inputs = [np.broadcast_to(v, shape) for v in inputs]
+    record = np.zeros((6, *shape))  # p_a, p_o, s_a, s_o, c_total, net_inflow
+    pos = slice(None)  # the live paths' positions in the block
+    for t in range(t0, t1):
+        k = t - t0
+        p_ref = tb.p_refs[t]
+        start = state
+        *state, net_inflow, redo = _advance_paths(
+            config, [v[k, pos] for v in inputs], in_redo[k, pos], trend, t, p_ref, *start
+        )
+        raised = np.zeros(len(redo), dtype=bool)
+        for j in np.flatnonzero(redo):  # the scalar core runs the path-step again
+            try:
+                (step,) = step_inputs(config, (steps[t, live[j]].tolist(),), t)
+                out = _advance(config, step, float(trend[j]), t, p_ref, *(float(v[j]) for v in start))
+            except OverflowError:
+                raised[j] = True
+                out = (0.0,) * 10
+            for v, x in zip((*state, net_inflow), out):
+                v[j] = x
+        p_a, s_a, p_o, s_o, cv, rv = state[:6]
+        c_total = cv + rv
+        record[:, k, pos] = (p_a, p_o, s_a, s_o, c_total, net_inflow)
+        mid = 0.5 * (p_a + p_o)
+        trend = np.where(prev_mid > 0, (mid - prev_mid) / prev_mid, 0.0)
+        prev_mid = mid
+
+        stop = raised | ~(np.isfinite(mid) & np.isfinite(c_total))
+        if stop.any():
+            gone = live[stop]
+            batch.lengths[gone] = t + 1
+            batch.diverged[gone] = True
+            _set_ends(batch, gone, *(v[stop] for v in (p_a, p_o, cv, rv)))
+            keep = ~stop
+            live = live[keep]
+            pos = np.arange(shape[1])[pos][keep]
+            state = [v[keep] for v in state]
+            trend, prev_mid = trend[keep], prev_mid[keep]
+            if not len(live):
+                break
+    # a path that stopped has records of zeros past its end: never read
+    done = slice(t0, t + 1)
+    p_ref, lo, hi = (np.array(v[done])[:, None] for v in (tb.p_refs, tb.band_lo, tb.band_hi))
+    p_a, p_o, s_a, s_o, c_total, net_inflow = record[:, : t + 1 - t0]
+    batch.in_band[done, at], hard[done, at], mid, supply_value, eff = record_flags(
+        config.failure, p_a, p_o, p_ref, lo, hi, s_a, s_o, c_total
+    )
+    steps[done, at, :4] = np.stack((eff, mid, net_inflow, supply_value), axis=-1)
+    return live, state, trend, prev_mid
 
 
 def _set_ends(batch: PathBatch, at, p_a, p_o, cv, rv):

@@ -14,14 +14,15 @@ counter consumption data-dependent).  The inverse CDF is a NumPy port of
 ``scipy.special.ndtri``: the same three rational approximations, evaluated
 with the same Horner recurrences and the same order of operations, so the
 shocks keep the bits they had when SciPy computed them.  The tails need
-``log``, which the port takes from the platform libm through ``math.log``;
-``np.log`` has its own SIMD implementation, which rounds some inputs
-differently.
+the platform libm's ``log``, which the port takes through NumPy's complex
+``log`` (``_libm_log``): ``np.log`` on floats has its own SIMD
+implementation, which rounds some inputs differently.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -32,6 +33,7 @@ _S2PI = 2.50662827463100050242e0
 # exp(-2): |y - 0.5| below 0.5 - exp(-2) takes the central approximation
 _EXPM2 = 0.13533528323661269189
 _ONE_MINUS_EXPM2 = 1.0 - _EXPM2
+_DBL_MIN = sys.float_info.min
 
 # y - 0.5 in the centre: x = y + y * y2 * P0(y2) / Q0(y2), y2 = y * y
 _P0 = (
@@ -117,7 +119,18 @@ def _p1evl(x: np.ndarray, coef: tuple) -> np.ndarray:
 
 
 def _libm_log(a: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.log, a.tolist()), np.float64, a.size)
+    """``math.log`` of each element, bit for bit, for elements in (0, 0.5) or
+    [2, 2**1023): NumPy's complex ``log`` is libm's ``clog``, whose real part
+    for ``x + 0j`` is ``log(hypot(x, 0)) = log(x)`` there (near 1 it takes
+    ``log1p``, and it rescales very large and subnormal ``x``).  Subnormals
+    go through ``math.log``.  The tails' arguments lie in that domain: below
+    exp(-2), and at least 2 (``math.log(_EXPM2)`` is exactly -2.0)."""
+    z = a.astype(np.complex128)
+    out = np.log(z, out=z).real
+    sub = a < _DBL_MIN
+    if sub.any():
+        out[sub] = [math.log(v) for v in a[sub].tolist()]
+    return out
 
 
 def _ndtri(y0: np.ndarray) -> np.ndarray:

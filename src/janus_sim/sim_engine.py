@@ -16,7 +16,8 @@ One step executes a frozen sub-step order:
 
 Sub-step 1 depends on the shocks and the clock alone, never on the state,
 so it runs ahead of the path: ``step_inputs`` computes it over a block of
-shock rows, once per path.  Sub-steps 2-7 are written once, in
+shock rows, once per path (in ``path_batch``, once per block of steps of
+the batch's paths).  Sub-steps 2-7 are written once, in
 ``_advance``: a core that takes one step's inputs and returns the step's
 numbers as plain floats (prices, supplies, the two collateral books, the
 three controller rates) and calls the mechanic functions of ``market``,
@@ -45,8 +46,8 @@ of the branches presets take often; a path-step that takes a rare one
 ``monte_carlo`` and ``frontier_sweep`` run each chunk of at least
 ``BATCH_MIN_PATHS`` paths as one batch (``simulate_path(config, range)``,
 then ``path_summary`` on the ``PathBatch``), smaller chunks path by path:
-a batch step costs about 0.3 ms in NumPy calls, so the scalar core wins
-below about 36 paths, as in ``run`` and ``step_map``.  The scalar core is
+a batch step costs about 0.2 ms in NumPy calls, so the scalar core wins
+below about 32 paths, as in ``run`` and ``step_map``.  The scalar core is
 the reference the batch is tested against; which form ran cannot show in
 any output.
 
@@ -83,7 +84,7 @@ from .core_state import (
     ReferencePricePolicy,
     band_bounds,
     decentralization,
-    from_vector,
+    read_head,
     reference_price,
     to_list,
 )
@@ -109,9 +110,11 @@ BURN_IN_STEPS = 30
 # which bounds a batch's memory, and no pool starts for this much work or
 # less, where a path-step run path by path counts as SCALAR_STEP_COST
 # batched ones.  Measured on janus_baseline, dai_like and flatcoin_like on a
-# 2-core x86 host: the two forms break even at 32-40 paths, and at 718 paths
-# (one full chunk) a path-step takes 11-16 us path by path against 2.5-3.3 us
-# batched.
+# 2-core x86 host (tools/ab_monte_carlo.py, one tree against itself with one
+# side forced to batch and the other path by path): the two forms break even
+# at 30-34 paths (path by path over batched: 0.80-0.82 at 24 paths,
+# 0.99-1.06 at 32, 1.09-1.32 at 40), and an ensemble of 360 paths takes
+# 4.6-5.9 times as long path by path.
 BATCH_MIN_PATHS = 36
 BATCH_PATH_STEPS = 1 << 18
 SCALAR_STEP_COST = 5
@@ -438,8 +441,9 @@ def step_inputs(
     where an ``exp`` overflows, and ``_advance`` raises ``OverflowError``.
 
     A row is a list of floats, or (in ``path_batch``) a sequence of arrays
-    over paths, each entry one shock column, with an element-wise ``exp``
-    that flags an overflow instead of raising it.  ``tables`` defaults to
+    over a block of steps and paths, each entry one shock column, with an
+    element-wise ``exp`` that flags an overflow instead of raising it; the
+    steps of such a block share ``t0``'s asset vols and crash drop.  ``tables`` defaults to
     ``config.tables``, which pass themselves while they are built.
     """
     tb = config.tables if tables is None else tables
@@ -596,8 +600,7 @@ def step_map(x, config: ScenarioConfig):
     retired zeros.
     """
     tb = config.tables
-    head, _ = from_vector(x, len(config.assets))
-    out = _advance(config, tb.zero_inputs, 0.0, 0, tb.p_ref0, *head)
+    out = _advance(config, tb.zero_inputs, 0.0, 0, tb.p_ref0, *read_head(x, len(config.assets)))
     succ = to_list(out[:HEADER_DIM], holding_units(config, out[4], out[5]))
     return succ if isinstance(x, list) else np.array(succ)
 

@@ -156,6 +156,16 @@ class TestRun:
         assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
         assert [p.name for p in out.iterdir()] == ["trace.csv"]
 
+    def test_failed_later_write_leaves_no_output_set(self, tmp_path, capsys):
+        # the trace is written before renaming the summary over a directory
+        # fails; the trace is removed, and an older manifest was removed first
+        out = tmp_path / "out"
+        (out / "summary.json").mkdir(parents=True)
+        (out / "manifest.json").write_text("{}\n")
+        assert main(["run", "--preset", "janus_baseline", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+        assert [p.name for p in out.iterdir()] == ["summary.json"]
+
 
 class TestMc:
     def test_ensemble_payload(self, scenario_file, tmp_path):

@@ -14,6 +14,7 @@ from janus_sim.core_state import (
     band_bounds,
     decentralization,
     from_vector,
+    read_head,
     reference_price,
     to_list,
     to_vector,
@@ -121,11 +122,14 @@ class TestVectorMapping:
             head, units = from_vector(form, 2)
             assert [repr(x) for x in head + units] == [repr(float(x)) for x in expected]
             assert repr(head[0]) == "0.0" and repr(head[6]) == "-0.0"
+            assert [repr(x) for x in read_head(form, 2)] == [repr(x) for x in head]
 
     def test_wrong_length_rejected(self):
         for v in (np.zeros(3), np.zeros((13, 1)), [0.0] * 3, [0.0] * 14):
             with pytest.raises(StateError):
                 from_vector(v, 2)
+            with pytest.raises(StateError):
+                read_head(v, 2)
 
     @given(st.lists(st.floats(0.0, 1e6), min_size=13, max_size=13))
     def test_arbitrary_nonnegative_vectors_round_trip(self, entries):

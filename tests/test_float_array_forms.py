@@ -3,7 +3,11 @@ bits either way: element j of the array result is, by repr, the result of
 the float call on element j.  Hypothesis draws on each function's unguarded
 branch (the inputs its float caller lets through), with ±0.0, subnormals,
 the largest finite floats, inf and NaN wherever the float form does not
-raise."""
+raise.  ``_exp_paths``, the batch's ``exp``, is checked against
+``math.exp`` bit for bit."""
+
+import math
+import sys
 
 import numpy as np
 from hypothesis import given, strategies as st
@@ -111,3 +115,43 @@ def test_price_impact(depth, paths):
             lambda price, flow: (price_impact(price, flow, depth, lambda x: _exp_paths(x, np.zeros(len(x), bool))),),
             paths,
         )
+
+
+def libm_exp_edges():
+    """Signed zeros, -inf, NaN, results that underflow to subnormals or 0,
+    and both sides of 709.0 (the flag) and of log(DBL_MAX) ~ 709.78 (where
+    ``math.exp`` overflows)."""
+    points = [0.0, -0.0, -math.inf, math.inf, math.nan, -708.4, -740.0, -745.1, -745.2, -746.0, 1e-300]
+    for c in (709.0, 709.78, math.log(sys.float_info.max)):
+        points += [c, np.nextafter(c, -math.inf), np.nextafter(c, math.inf)]
+    return points
+
+
+def test_exp_paths_is_libm_exp():
+    rng = np.random.default_rng(23)
+    x = np.concatenate((
+        rng.normal(0.0, 30.0, 200_000), rng.uniform(-746.0, 710.0, 200_000),
+        np.linspace(705.0, 710.0, 20_001), libm_exp_edges(),
+    ))
+    redo = np.zeros(len(x), dtype=bool)
+    redo[0] = True  # a flag already set stays set
+    with np.errstate(all="ignore"):  # as in the batch: a flagged value may overflow
+        got = _exp_paths(x, redo)
+    assert np.array_equal(redo[1:], x[1:] > 709.0) and redo[0]
+    keep = ~(x > 709.0)
+    want = np.fromiter(map(math.exp, x[keep].tolist()), float, int(keep.sum()))
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got[keep]), nan)
+    assert np.array_equal(got[keep][~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+@given(rows(ANY))
+def test_exp_paths_flags_exactly_above_709(paths):
+    x = np.array([p for (p,) in paths])
+    redo = np.zeros(len(x), dtype=bool)
+    with np.errstate(all="ignore"):
+        got = _exp_paths(x, redo)
+    assert redo.tolist() == [v > 709.0 for v in x.tolist()]
+    assert [repr(float(g)) for g, r in zip(got, redo) if not r] == [
+        repr(math.exp(v)) for v in x.tolist() if not v > 709.0
+    ]

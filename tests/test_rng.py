@@ -1,4 +1,5 @@
-"""Shock streams: pinned bits, the inverse-CDF port against SciPy, no SciPy import."""
+"""Shock streams: pinned bits, the inverse-CDF port against SciPy, the tails'
+``log`` against ``math.log``, no SciPy import."""
 
 import hashlib
 import math
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import janus_sim
-from janus_sim.rng import _ndtri, shock_block
+from janus_sim.rng import _EXPM2, _libm_log, _ndtri, shock_block
 
 # SHA-256 of shock_block(seed, path, horizon, width).tobytes(), recorded with
 # scipy.special.ndtri as the inverse CDF.  Every ensemble, frontier cell and
@@ -78,3 +79,22 @@ def test_package_loads_no_scipy():
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_tail_logs_stay_where_the_complex_log_is_libm_log():
+    # the second tail log's argument sqrt(-2 log y) is at least 2 for every
+    # tail y <= exp(-2), because the first log gives exactly -2.0 there
+    assert math.log(_EXPM2) == -2.0
+    assert _libm_log(np.array([_EXPM2])).tolist() == [-2.0]
+
+
+def test_libm_log_is_math_log():
+    rng = np.random.default_rng(29)
+    tiny = sys.float_info.min
+    a = np.concatenate((
+        rng.uniform(1e-16, _EXPM2, 200_000), np.geomspace(tiny, _EXPM2, 100_000),
+        rng.uniform(2.0, 40.0, 200_000), np.linspace(2.0, 40.0, 100_001),
+        np.geomspace(5e-324, tiny, 2_000), [5e-324, np.nextafter(tiny, 0.0), tiny, 1e-16, _EXPM2, 2.0],
+    ))
+    want = np.fromiter(map(math.log, a.tolist()), float, a.size)
+    assert np.array_equal(_libm_log(a).view(np.int64), want.view(np.int64))

@@ -782,6 +782,9 @@ def random_scenario(name, depth, turnover, micro_vol, skim_rate, liq, grace, rew
     )
 
 
+B = path_batch.BLOCK_STEPS
+
+
 class TestPathBatch:
     """A batch of paths summarizes bit for bit as the scalar core's paths."""
 
@@ -814,6 +817,7 @@ class TestPathBatch:
 
     @pytest.mark.parametrize("overrides", [
         dict(horizon=1), dict(horizon=3), dict(failure=FailureDef(grace=0)),
+        dict(horizon=B - 1), dict(horizon=B), dict(horizon=B + 1),  # one block, two
     ])
     def test_short_horizons_and_no_grace(self, overrides):
         batch_matches_scalar(replace(load_preset("janus_baseline"), **overrides), range(8))
@@ -874,6 +878,33 @@ class TestPathBatch:
         monkeypatch.setattr(path_batch, "_advance", lambda *a: calls.append(a) or advance(*a))
         batch_matches_scalar(RERUN_CASES[reason](), range(8))
         assert calls
+
+    def test_crash_window_cuts_blocks(self):
+        # the onset alone (its crash drop), the rest of the window (doubled
+        # crypto vols), then blocks of at most B steps: one t0 serves each
+        h = B // 2
+        cfg = replace(
+            load_preset("janus_baseline"), horizon=3 * B,
+            stress=StressOverlay(StressKind.CRYPTO_CRASH, onset=h, magnitude=0.5, duration=B),
+        )
+        blocks = list(path_batch._blocks(cfg.tables, cfg.horizon))
+        assert blocks == [(0, h), (h, h + 1), (h + 1, h + B), (h + B, h + 2 * B), (h + 2 * B, 3 * B)]
+        batch_matches_scalar(cfg, range(8))
+
+    def test_reruns_and_stops_inside_blocks(self, monkeypatch):
+        # exp(708 - 0.5 + z) is flagged above 709.0 and overflows above
+        # 709.78: path-steps run again by the scalar core mid-block, some
+        # going on and some stopping their path, while the block's other
+        # paths run on, in the first block and in later ones
+        cfg = replace(book_overflow_config(seed=3), horizon=3 * B)
+        clocks = []
+        advance = path_batch._advance
+        monkeypatch.setattr(path_batch, "_advance", lambda *a: clocks.append(a[3]) or advance(*a))
+        traces = batch_matches_scalar(cfg, range(16))
+        stops = [len(tr) for tr in traces if tr.diverged]
+        assert len(clocks) > len(stops)
+        assert any(t % B for t in clocks if t < B) and any(t % B for t in clocks if t > B)
+        assert any(n < B for n in stops) and any(B < n < cfg.horizon and n % B for n in stops)
 
     def test_chunks_cover_paths_under_the_budget(self):
         for n_paths, horizon in [(1, 365), (1000, 365), (5, 10**6)]:
