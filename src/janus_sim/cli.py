@@ -29,6 +29,7 @@ from .config_io import (
     config_hash,
     load_config,
     load_preset,
+    parse_json,
 )
 from .controller import (
     SolverError,
@@ -207,10 +208,7 @@ def _load_grid(args) -> dict:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read grid file: {exc}")
-    try:
-        grid = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"grid file is not valid JSON: {exc}")
+    grid = parse_json(text, "grid file")
     lists = isinstance(grid, dict) and all(isinstance(v, list) and v for v in grid.values())
     if not grid or not lists:
         raise ConfigError("sweep grid must be a non-empty object of non-empty lists")

@@ -142,19 +142,30 @@ def config_hash(config: ScenarioConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def parse_json(text: str, what: str):
+    """``text`` read as JSON (RFC 8259): Python's ``json`` also reads
+    ``NaN``, ``Infinity`` and ``-Infinity``, which are rejected here."""
+
+    def constant(name):
+        raise ConfigError(f"{what} is not valid JSON: {name} is not a JSON number")
+
+    try:
+        return json.loads(text, parse_constant=constant)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def load_config(path: str) -> ScenarioConfig:
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+    return config_from_dict(parse_json(text, "config file"))
 
 
 def load_preset(name: str) -> ScenarioConfig:
     if name not in PRESET_NAMES:
         raise ConfigError(f"unknown preset '{name}'; choose from {PRESET_NAMES}")
     text = resources.files("janus_sim.presets").joinpath(f"{name}.json").read_text()
-    return config_from_dict(json.loads(text))
+    return config_from_dict(parse_json(text, "preset"))

@@ -38,8 +38,10 @@ A batch keeps only what ``path_summary`` reads.  The shocks are stored
 time-major, one ``(paths, n_assets + 3)`` block per step
 (``batch_shocks``), and once a block of steps is done its records overwrite
 the shock slots the block has consumed, so a batch holds little more than
-its shocks.  Frontier cells that step the same paths make the shocks once
-and each batch one copy.  ``sim_engine`` imports this module on first use:
+its shocks.  A path that stops keeps its slot and is stepped on with the
+others; ``diverged`` marks it, and its rows past ``lengths`` hold garbage.
+Frontier cells that step the same paths make the shocks once and each
+batch one copy.  ``sim_engine`` imports this module on first use:
 ``run`` and ``equilibrium`` never compile it.
 """
 
@@ -217,11 +219,11 @@ class PathBatch:
     ``steps[t, j]`` holds the record of step t + 1 of path ``paths[j]`` in
     its first four slots (efficiency, mid price, net inflow, supply value);
     the step's shock row filled that row until the step's block of steps
-    was done.  ``in_band[t, j]`` is the record's in-band flag.  Rows past a
-    path's last record hold no meaning.  Per path: the number of records,
-    whether the path diverged, the last record's failure flag and its
-    prices and collateral books.  ``len()`` is the number of records of all
-    paths.
+    was done.  ``in_band[t, j]`` is the record's in-band flag.  A path that
+    stops keeps its slot, and its rows past its last record hold garbage
+    that nothing reads.  Per path: the number of records, whether the path
+    diverged, the last record's failure flag and its prices and collateral
+    books.  ``len()`` is the number of records of all paths.
     """
 
     paths: range
@@ -271,7 +273,8 @@ def simulate_batch(config: ScenarioConfig, paths: range, steps: np.ndarray | Non
     steps (``_blocks``) at a time (``_run_block``), on their rows of
     ``steps`` (by default ``batch_shocks``), which the batch overwrites.
     One ``fold_failed`` runs at the end.  A path that stops (its step raised
-    or left a non-finite value) leaves the arrays."""
+    or left a non-finite value) keeps its slot; ``batch.diverged`` is the
+    only record that it stopped."""
     n_paths = len(paths)
     horizon = config.horizon
     if steps is None:
@@ -291,29 +294,24 @@ def simulate_batch(config: ScenarioConfig, paths: range, steps: np.ndarray | Non
     hard = np.zeros((horizon, n_paths), dtype=bool)
 
     head, _ = initial_state(config)
-    # the batch positions of the paths still running, their state, trend and
-    # previous mid price
-    run = (
-        np.arange(n_paths), [np.full(n_paths, v) for v in head], np.zeros(n_paths),
-        np.full(n_paths, 0.5 * (head[0] + head[2])),
-    )
+    # the paths' state, trend and previous mid price
+    run = ([np.full(n_paths, v) for v in head], np.zeros(n_paths), np.full(n_paths, 0.5 * (head[0] + head[2])))
     with np.errstate(all="ignore"):
         for t0, t1 in _blocks(config.tables, horizon):
             run = _run_block(config, batch, hard, t0, t1, *run)
-            if not len(run[0]):
+            if batch.diverged.all():
                 break
-    live, state = run[:2]
-    p_a, _, p_o, _, cv, rv = state[:6]
-    _set_ends(batch, live, p_a, p_o, cv, rv)
+    p_a, _, p_o, _, cv, rv = run[0][:6]
+    _set_ends(batch, ~batch.diverged, p_a, p_o, cv, rv)
     failed = fold_failed(config.failure, batch.in_band, hard)
     batch.failed = failed[batch.lengths - 1, np.arange(n_paths)]
     return batch
 
 
-def _run_block(config, batch, hard, t0, t1, live, state, trend, prev_mid) -> tuple:
-    """Steps t0..t1-1, a block of ``_blocks``, of the paths at batch
-    positions ``live``, from their state (``_advance_paths``' arrays), trend
-    and previous mid price; returns those of the paths still running.
+def _run_block(config, batch, hard, t0, t1, state, trend, prev_mid) -> tuple:
+    """Steps t0..t1-1, a block of ``_blocks``, of every path of the batch,
+    from their state (``_advance_paths``' arrays), trend and previous mid
+    price; returns those after the block.
 
     The block's step inputs come from one ``step_inputs`` call on its rows of
     ``batch.steps``, one ``(steps, paths)`` array per shock column.  Each
@@ -322,31 +320,28 @@ def _run_block(config, batch, hard, t0, t1, live, state, trend, prev_mid) -> tup
     of ``batch.in_band`` and ``hard``.  A path-step that ``_advance_paths``
     or the inputs' ``exp`` flags is run again by ``_advance`` on the inputs
     of its shock row alone, still intact until the block ends, and records
-    the zeroed state if it raises there.  Once a path has stopped, the
-    block's arrays are indexed by the live paths' positions in the block.
-    They are freed on return, so none is held while ``fold_failed`` runs,
-    which would raise the batch's peak memory."""
+    the zeroed state if it raises there.  A stop sets ``batch.lengths``,
+    ``batch.diverged`` and the path's last-record values; the path keeps its
+    slot, and its later values are garbage that no rerun, ``fold_failed``
+    (causal along steps) or ``batch_path_summary`` reads.  The block's arrays
+    are freed on return, so none is held while ``fold_failed`` runs."""
     tb = config.tables
     steps = batch.steps
-    at = slice(None) if len(live) == len(batch.paths) else live  # the block's paths
-    rows = steps[t0:t1, at]
+    rows = steps[t0:t1]
     shape = rows.shape[:2]
     in_redo = np.zeros(shape, dtype=bool)
     (inputs,) = step_inputs(config, (np.moveaxis(rows, 2, 0),), t0, lambda x: _exp_paths(x, in_redo))
     inputs = [np.broadcast_to(v, shape) for v in inputs]
-    record = np.zeros((6, *shape))  # p_a, p_o, s_a, s_o, c_total, net_inflow
-    pos = slice(None)  # the live paths' positions in the block
+    record = np.empty((6, *shape))  # p_a, p_o, s_a, s_o, c_total, net_inflow
     for t in range(t0, t1):
         k = t - t0
         p_ref = tb.p_refs[t]
         start = state
-        *state, net_inflow, redo = _advance_paths(
-            config, [v[k, pos] for v in inputs], in_redo[k, pos], trend, t, p_ref, *start
-        )
+        *state, net_inflow, redo = _advance_paths(config, [v[k] for v in inputs], in_redo[k], trend, t, p_ref, *start)
         raised = np.zeros(len(redo), dtype=bool)
-        for j in np.flatnonzero(redo):  # the scalar core runs the path-step again
+        for j in np.flatnonzero(redo & ~batch.diverged):  # the scalar core runs the path-step again
             try:
-                (step,) = step_inputs(config, (steps[t, live[j]].tolist(),), t)
+                (step,) = step_inputs(config, (steps[t, j].tolist(),), t)
                 out = _advance(config, step, float(trend[j]), t, p_ref, *(float(v[j]) for v in start))
             except OverflowError:
                 raised[j] = True
@@ -355,41 +350,34 @@ def _run_block(config, batch, hard, t0, t1, live, state, trend, prev_mid) -> tup
                 v[j] = x
         p_a, s_a, p_o, s_o, cv, rv = state[:6]
         c_total = cv + rv
-        record[:, k, pos] = (p_a, p_o, s_a, s_o, c_total, net_inflow)
+        record[:, k] = (p_a, p_o, s_a, s_o, c_total, net_inflow)
         mid = 0.5 * (p_a + p_o)
         trend = np.where(prev_mid > 0, (mid - prev_mid) / prev_mid, 0.0)
         prev_mid = mid
 
-        stop = raised | ~(np.isfinite(mid) & np.isfinite(c_total))
+        stop = ~batch.diverged & (raised | ~(np.isfinite(mid) & np.isfinite(c_total)))
         if stop.any():
-            gone = live[stop]
-            batch.lengths[gone] = t + 1
-            batch.diverged[gone] = True
-            _set_ends(batch, gone, *(v[stop] for v in (p_a, p_o, cv, rv)))
-            keep = ~stop
-            live = live[keep]
-            pos = np.arange(shape[1])[pos][keep]
-            state = [v[keep] for v in state]
-            trend, prev_mid = trend[keep], prev_mid[keep]
-            if not len(live):
+            batch.lengths[stop] = t + 1
+            batch.diverged |= stop
+            _set_ends(batch, stop, p_a, p_o, cv, rv)
+            if batch.diverged.all():
                 break
-    # a path that stopped has records of zeros past its end: never read
     done = slice(t0, t + 1)
     p_ref, lo, hi = (np.array(v[done])[:, None] for v in (tb.p_refs, tb.band_lo, tb.band_hi))
     p_a, p_o, s_a, s_o, c_total, net_inflow = record[:, : t + 1 - t0]
-    batch.in_band[done, at], hard[done, at], mid, supply_value, eff = record_flags(
+    batch.in_band[done], hard[done], mid, supply_value, eff = record_flags(
         config.failure, p_a, p_o, p_ref, lo, hi, s_a, s_o, c_total
     )
-    steps[done, at, :4] = np.stack((eff, mid, net_inflow, supply_value), axis=-1)
-    return live, state, trend, prev_mid
+    steps[done, :, :4] = np.stack((eff, mid, net_inflow, supply_value), axis=-1)
+    return state, trend, prev_mid
 
 
 def _set_ends(batch: PathBatch, at, p_a, p_o, cv, rv):
-    """Record the last-record values of the paths at batch positions ``at``."""
-    batch.p_a[at] = p_a
-    batch.p_omega[at] = p_o
-    batch.crypto[at] = cv
-    batch.rwa[at] = rv
+    """Record the last-record values of the paths the mask ``at`` selects."""
+    batch.p_a[at] = p_a[at]
+    batch.p_omega[at] = p_o[at]
+    batch.crypto[at] = cv[at]
+    batch.rwa[at] = rv[at]
 
 
 def batch_path_summary(batch: PathBatch, config: ScenarioConfig, path_index: int) -> PathSummary:

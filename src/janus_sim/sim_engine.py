@@ -247,6 +247,8 @@ class ScenarioConfig:
             raise ConfigError("treasury split must lie in [0, 1]")
         if not (0.0 <= self.skim_rate <= 1.0):
             raise ConfigError("skim rate must lie in [0, 1]")
+        if not (0.0 <= self.liq_penalty <= 1.0):
+            raise ConfigError("liquidation penalty must lie in [0, 1]")
         if self.stress is not None and self.stress.onset + self.stress.duration > self.horizon:
             raise ConfigError("stress window must fit inside the horizon")
         try:

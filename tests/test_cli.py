@@ -600,6 +600,42 @@ class TestErrors:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["assets"][0].update(vol=math.nan),  # the crypto asset
+        lambda d: d["market"].update(depth_alpha=math.inf),
+    ])
+    def test_non_json_constant_in_config_exits_config(self, edit, tmp_path, capsys):
+        # Python's json reads NaN and Infinity, which JSON does not have
+        data = config_to_dict(load_preset("janus_baseline"))
+        edit(data)
+        path = tmp_path / "constant.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    def test_non_json_constant_in_grid_exits_config(self, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text('{"sentiment_gain": [NaN]}')
+        out = tmp_path / "o"
+        code = main(["frontier", "--preset", "janus_baseline", "--grid", str(path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    def test_negative_liquidation_penalty_exits_config(self, tmp_path, capsys):
+        # liquidate divided by zero on path 3 of this scenario
+        crash = StressOverlay(StressKind.CRYPTO_CRASH, onset=20, magnitude=0.6, duration=30)
+        data = config_to_dict(replace(load_preset("dai_like"), stress=crash))
+        data["market"]["liq_penalty"] = -0.5
+        path = tmp_path / "penalty.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert main(["mc", "--config", str(path), "--paths", "5", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
 
 def small_data():
     return config_to_dict(small_config(horizon=60))

@@ -161,6 +161,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_config(collateral_weights=weights)
 
+    @pytest.mark.parametrize("penalty", [-0.5, 1.5, math.nan])
+    def test_liquidation_penalty_must_lie_in_unit_interval(self, penalty):
+        # below 0 the recovery can reach the target ratio and liquidate
+        # divides by zero; above 1 the recovery is negative
+        with pytest.raises(ConfigError, match="liquidation penalty"):
+            small_config(liq_penalty=penalty)
+        for edge in (0.0, 1.0):
+            small_config(liq_penalty=edge)
+
     @pytest.mark.parametrize(
         "field", ["alpha_price", "alpha_supply", "omega_price", "omega_supply", "c_total"]
     )
@@ -902,6 +911,9 @@ class TestPathBatch:
         monkeypatch.setattr(path_batch, "_advance", lambda *a: clocks.append(a[3]) or advance(*a))
         traces = batch_matches_scalar(cfg, range(16))
         stops = [len(tr) for tr in traces if tr.diverged]
+        # nothing reads a stopped path's later values, so only the count of
+        # scalar reruns shows a rerun of a stopped path's step
+        assert len(clocks) == 61
         assert len(clocks) > len(stops)
         assert any(t % B for t in clocks if t < B) and any(t % B for t in clocks if t > B)
         assert any(n < B for n in stops) and any(B < n < cfg.horizon and n % B for n in stops)

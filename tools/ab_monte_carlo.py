@@ -1,9 +1,9 @@
 """A/B timing of an ensemble, ``sim_engine.monte_carlo`` with one worker, in
 one process.
 
-Loads two source trees of the package under two module names (the loader
-of ``ab_step_map.py``), checks that their ensembles agree bit for bit, then
-times them in alternation::
+Loads two source trees of the package under two module names, checks that
+their ensembles agree bit for bit, then times them in alternation, with the
+loader, copies, check and rounds of ``ab_step_map.py``::
 
     python tools/ab_monte_carlo.py PARENT_SRC [CHANGE_SRC] [--rounds 8]
     python tools/ab_monte_carlo.py --aa [SRC]
@@ -20,28 +20,20 @@ its paths as one batch, above it one by one through the scalar core, so an
 A/A run with the two settings times the two forms of the step against each
 other.
 
-As in ``ab_step_map.py``, each side is loaded twice, in the order parent,
-change, change, parent, and a side's time is the sum of its two copies'
-times.  The check runs ``--check-paths`` paths of each preset, and
-``--paths`` paths of ``--preset``, on every copy and compares the
-``EnsembleSummary`` reprs.  A round then times ``--preset`` on each copy,
-best of ``--best`` ensembles of ``--paths`` paths, in load order or its
-reverse, alternating from round to round.  Each round prints its ratio (the
-change's summed best times over the parent's); the last line gives the
-median ratio and the rounds the change won.  Uses only the standard
-library and the package.
+The check runs ``--check-paths`` paths of each preset, and ``--paths``
+paths of ``--preset``, on every copy and compares the ``EnsembleSummary``
+reprs.  A round times ``--preset`` on each copy, best of ``--best``
+ensembles of ``--paths`` paths.  Uses only the standard library and the
+package.
 """
 
 from __future__ import annotations
 
-import argparse
-import gc
-import statistics
 import sys
 import time
 from pathlib import Path
 
-from ab_step_map import PRESETS, ROOT, load_package
+from ab_step_map import PRESETS, ab_parser, load_copies, load_package, parse_trees, run_rounds, same_on_copies
 
 
 class Side:
@@ -78,11 +70,7 @@ def _constant(text: str) -> tuple[str, int]:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("parent", nargs="?", type=Path, help="the parent's src directory")
-    ap.add_argument("change", nargs="?", type=Path, default=ROOT / "src",
-                    help="the change's src directory (default: this checkout's)")
-    ap.add_argument("--aa", action="store_true", help="time one tree against itself")
+    ap = ab_parser(__doc__.split("\n\n")[0])
     ap.add_argument("--set", type=_constant, action="append", default=[], metavar="NAME=VALUE",
                     help="set an int constant of sim_engine on the change side")
     ap.add_argument("--set-parent", type=_constant, action="append", default=[], metavar="NAME=VALUE",
@@ -92,50 +80,22 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=8)
     ap.add_argument("--best", type=int, default=3)
     ap.add_argument("--check-paths", type=int, default=40)
-    args = ap.parse_args(argv)
-    if args.aa:
-        parent = change = args.parent or args.change
-    elif args.parent is None:
-        ap.error("give the parent's src directory, or --aa")
-    else:
-        parent, change = args.parent, args.change
-    sys.path.insert(0, str(ROOT / "src"))
-
-    import janus_sim.presets  # noqa: F401  (before the copies, which read it)
+    args, parent, change = parse_trees(ap, argv)
 
     constants = {"parent": dict(args.set_parent), "change": dict(args.set)}
-    sides = ("parent", "change", "change", "parent")
-    copies = [
-        Side(src, f"janus_ab_{i}", constants[side])
-        for i, (side, src) in enumerate(zip(sides, (parent, change, change, parent)))
-    ]
+    copies = load_copies(parent, change, lambda src, name, side: Side(src, name, constants[side]))
     checks = [(p, args.check_paths) for p in PRESETS] + [(args.preset, args.paths)]
-    for preset, n_paths in checks:
-        seen = [c.summary(preset, n_paths) for c in copies]
-        if any(s != seen[0] for s in seen):
-            print(f"{preset}: the ensembles of {n_paths} paths differ", file=sys.stderr)
-            return 1
+    if not same_on_copies(copies, checks, lambda c, case: c.summary(*case),
+                          lambda case: f"{case[0]}: the ensembles of {case[1]} paths differ"):
+        return 1
     settings = {side: " ".join(f"{k}={v}" for k, v in c.items()) for side, c in constants.items()}
     print(f"parent {parent} {settings['parent']}\nchange {change} {settings['change']}\n"
           f"ensembles equal by repr on {len(PRESETS)} presets at {args.check_paths} paths "
           f"and on {args.preset} at {args.paths}")
 
-    ratios, wins = [], 0
-    gc.disable()
-    try:
-        for r in range(args.rounds):
-            order = copies if r % 2 == 0 else copies[::-1]
-            times = {c: c.best(args.preset, args.paths, args.best) for c in order}
-            a = times[copies[0]] + times[copies[3]]
-            b = times[copies[1]] + times[copies[2]]
-            ratios.append(b / a)
-            wins += b < a
-            way = "load order" if r % 2 == 0 else "reversed"
-            print(f"round {r + 1:2d} ({way}): ratio {b / a:.3f}  parent {a / 2:.4f} s  change {b / 2:.4f} s")
-    finally:
-        gc.enable()
-    print(f"median ratio {statistics.median(ratios):.3f} over {len(ratios)} rounds; "
-          f"change faster in {wins} of {len(ratios)}")
+    p = args.preset
+    run_rounds(copies, args.rounds, lambda order: {c: {p: c.best(p, args.paths, args.best)} for c in order},
+               lambda a, b: f"parent {a[p] / 2:.4f} s  change {b[p] / 2:.4f} s")
     return 0
 
 

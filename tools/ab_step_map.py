@@ -43,9 +43,7 @@ PRESETS = ("janus_baseline", "usdc_like", "dai_like", "ust_like", "flatcoin_like
 def load_package(src: Path, name: str):
     """Import ``src/janus_sim`` as the top-level package ``name``."""
     pkg = Path(src).resolve() / "janus_sim"
-    spec = importlib.util.spec_from_file_location(
-        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
-    )
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
@@ -88,16 +86,20 @@ class Side:
         return best
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def ab_parser(description: str) -> argparse.ArgumentParser:
+    """A parser that takes the two trees and ``--aa``."""
+    ap = argparse.ArgumentParser(description=description)
     ap.add_argument("parent", nargs="?", type=Path, help="the parent's src directory")
     ap.add_argument("change", nargs="?", type=Path, default=ROOT / "src",
                     help="the change's src directory (default: this checkout's)")
     ap.add_argument("--aa", action="store_true", help="time one tree against itself")
-    ap.add_argument("--rounds", type=int, default=16)
-    ap.add_argument("--calls", type=int, default=4000)
-    ap.add_argument("--best", type=int, default=5)
-    ap.add_argument("--check", type=int, default=300)
+    return ap
+
+
+def parse_trees(ap: argparse.ArgumentParser, argv) -> tuple:
+    """The parsed arguments and the parent's and the change's ``src``
+    (one tree on both sides with ``--aa``).  Puts this checkout's ``src`` on
+    ``sys.path`` and imports its presets, which the copies read."""
     args = ap.parse_args(argv)
     if args.aa:
         parent = change = args.parent or args.change
@@ -106,39 +108,76 @@ def main(argv=None) -> int:
     else:
         parent, change = args.parent, args.change
     sys.path.insert(0, str(ROOT / "src"))
+    import janus_sim.presets  # noqa: F401
+    return args, parent, change
 
-    import janus_sim.presets  # noqa: F401  (before the copies, which read it)
 
-    copies = [Side(src, f"janus_ab_{i}") for i, src in enumerate((parent, change, change, parent))]
-    for preset in PRESETS:
-        seen = [c.iterate(preset, args.check) for c in copies]
+def load_copies(parent: Path, change: Path, make) -> list:
+    """``make(src, name, side)`` for copies parent, change, change, parent."""
+    sides = ("parent", "change", "change", "parent")
+    return [make(change if s == "change" else parent, f"janus_ab_{i}", s) for i, s in enumerate(sides)]
+
+
+def same_on_copies(copies: list, cases, value, differ) -> bool:
+    """Whether ``value(copy, case)`` is equal on every copy for each case;
+    prints ``differ(case)`` for the first case where it is not."""
+    for case in cases:
+        seen = [value(c, case) for c in copies]
         if any(s != seen[0] for s in seen):
-            print(f"{preset}: the maps differ within {args.check} iterations", file=sys.stderr)
-            return 1
-    print(f"parent {parent}\nchange {change}\n{args.check} iterates equal by repr on {len(PRESETS)} presets")
+            print(differ(case), file=sys.stderr)
+            return False
+    return True
 
+
+def run_rounds(copies: list, n_rounds: int, time_round, detail) -> None:
+    """``n_rounds`` rounds, garbage collector off, of ``time_round`` on the
+    copies in load order or its reverse by turns; it returns each copy's
+    times as a dict, and a side's are the sums of its two copies'.  Prints
+    each round's ratio and ``detail(parent, change)``, then the median."""
     ratios, wins = [], 0
     gc.disable()
     try:
-        for r in range(args.rounds):
-            order = copies if r % 2 == 0 else copies[::-1]
-            times = {c: {} for c in copies}
-            for preset in PRESETS:
-                for c in order:
-                    times[c][preset] = c.best(preset, args.calls, args.best)
-            a = {p: times[copies[0]][p] + times[copies[3]][p] for p in PRESETS}
-            b = {p: times[copies[1]][p] + times[copies[2]][p] for p in PRESETS}
+        for r in range(n_rounds):
+            times = time_round(copies if r % 2 == 0 else copies[::-1])
+            a = {k: times[copies[0]][k] + times[copies[3]][k] for k in times[copies[0]]}
+            b = {k: times[copies[1]][k] + times[copies[2]][k] for k in a}
             ratio = sum(b.values()) / sum(a.values())
             ratios.append(ratio)
             wins += ratio < 1.0
-            per = " ".join(f"{p}={b[p] / a[p]:.3f}" for p in PRESETS)
-            us = 1e6 * sum(a.values()) / (2 * args.calls * len(PRESETS))
             way = "load order" if r % 2 == 0 else "reversed"
-            print(f"round {r + 1:2d} ({way}): ratio {ratio:.3f}  parent {us:.2f} us/call  {per}")
+            print(f"round {r + 1:2d} ({way}): ratio {ratio:.3f}  {detail(a, b)}")
     finally:
         gc.enable()
     print(f"median ratio {statistics.median(ratios):.3f} over {len(ratios)} rounds; "
           f"change faster in {wins} of {len(ratios)}")
+
+
+def main(argv=None) -> int:
+    ap = ab_parser(__doc__.split("\n\n")[0])
+    ap.add_argument("--rounds", type=int, default=16)
+    ap.add_argument("--calls", type=int, default=4000)
+    ap.add_argument("--best", type=int, default=5)
+    ap.add_argument("--check", type=int, default=300)
+    args, parent, change = parse_trees(ap, argv)
+
+    copies = load_copies(parent, change, lambda src, name, side: Side(src, name))
+    if not same_on_copies(copies, PRESETS, lambda c, p: c.iterate(p, args.check),
+                          lambda p: f"{p}: the maps differ within {args.check} iterations"):
+        return 1
+    print(f"parent {parent}\nchange {change}\n{args.check} iterates equal by repr on {len(PRESETS)} presets")
+
+    def time_round(order):
+        times = {c: {} for c in copies}
+        for preset in PRESETS:
+            for c in order:
+                times[c][preset] = c.best(preset, args.calls, args.best)
+        return times
+
+    def detail(a, b):  # the parent's mean time a call, and each preset's ratio
+        us = 1e6 * sum(a.values()) / (2 * args.calls * len(PRESETS))
+        return f"parent {us:.2f} us/call  " + " ".join(f"{p}={b[p] / a[p]:.3f}" for p in PRESETS)
+
+    run_rounds(copies, args.rounds, time_round, detail)
     return 0
 
 
