@@ -2,7 +2,8 @@
 
 The config dataclasses are the schema.  A section's keys are its
 dataclass's fields, and each value must match the field's annotation:
-``int`` is an int (not a bool), ``float`` an int or a float (not a bool),
+``int`` is an int (not a bool), ``float`` an int or a float (not a bool)
+of magnitude at most the largest float, compared exactly (not NaN or inf),
 ``bool`` a bool, a tuple a list, an enum one of its values, and a nested
 dataclass an object.  Unknown keys, missing required keys and wrong value
 types are errors in every section (typo protection).  Values are kept as
@@ -23,6 +24,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import sys
 import types
 import typing
 from enum import Enum
@@ -47,7 +49,8 @@ _MARKET_KEYS = (
 
 _SCALARS = {
     int: ("an int", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    float: ("a finite number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max),
     bool: ("a bool", lambda v: isinstance(v, bool)),
 }
 

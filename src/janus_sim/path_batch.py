@@ -40,8 +40,10 @@ time-major, one ``(paths, n_assets + 3)`` block per step
 the shock slots the block has consumed, so a batch holds little more than
 its shocks.  A path that stops keeps its slot and is stepped on with the
 others; ``diverged`` marks it, and its rows past ``lengths`` hold garbage.
-Frontier cells that step the same paths make the shocks once and each
-batch one copy.  ``sim_engine`` imports this module on first use:
+The first ``path_summary`` call for a batch reduces all its paths through
+``sim_engine``'s one summary reduction (``batch_path_summary``).  Frontier
+cells that step the same paths make the shocks once and each batch one
+copy.  ``sim_engine`` imports this module on first use:
 ``run`` and ``equilibrium`` never compile it.
 """
 
@@ -59,7 +61,7 @@ from .sim_engine import (
     PathSummary,
     ScenarioConfig,
     _advance,
-    _reduce_path,
+    _reduce_paths,
     fold_failed,
     initial_state,
     price_impact,
@@ -69,7 +71,8 @@ from .sim_engine import (
 )
 
 
-# Steps whose inputs and records a batch computes together (see ``_blocks``).
+# Steps whose inputs and records a batch computes together (see ``_blocks``),
+# and paths whose summaries it reduces together (``batch_path_summary``).
 BLOCK_STEPS = 32
 
 
@@ -223,7 +226,9 @@ class PathBatch:
     stops keeps its slot, and its rows past its last record hold garbage
     that nothing reads.  Per path: the number of records, whether the path
     diverged, the last record's failure flag and its prices and collateral
-    books.  ``len()`` is the number of records of all paths.
+    books.  ``summaries`` maps each path index to its ``PathSummary`` once
+    the first ``path_summary`` call has reduced them.  ``len()`` is the
+    number of records of all paths.
     """
 
     paths: range
@@ -236,6 +241,7 @@ class PathBatch:
     p_omega: np.ndarray
     crypto: np.ndarray
     rwa: np.ndarray
+    summaries: dict | None = None
 
     def __len__(self):
         return int(self.lengths.sum())
@@ -381,14 +387,20 @@ def _set_ends(batch: PathBatch, at, p_a, p_o, cv, rv):
 
 
 def batch_path_summary(batch: PathBatch, config: ScenarioConfig, path_index: int) -> PathSummary:
-    """``path_summary`` of one path of a batch, from contiguous copies of its
-    series: ``np.mean``'s pairwise sums then add in the order they add on
-    the path's own trace."""
-    j = batch.paths.index(path_index)
-    n = int(batch.lengths[j])
-    eff, mid, inflow, supply_value = (np.ascontiguousarray(batch.steps[:n, j, k]) for k in range(4))
-    p_ref = config.tables.p_refs[n - 1]
-    return _reduce_path(
-        path_index, bool(batch.failed[j]), batch.in_band[:n, j], eff, mid, inflow, supply_value,
-        (batch.p_a[j], batch.p_omega[j], p_ref, batch.crypto[j], batch.rwa[j]),
-    )
+    """``path_summary`` of one path of a batch.  The first call reduces all
+    its paths, ``BLOCK_STEPS`` at a time to keep the copies small: those of
+    a block with the same number of records in one ``_reduce_paths``, on
+    contiguous ``(paths, records)`` copies of their series."""
+    if batch.summaries is None:
+        batch.summaries = {}
+        for j0 in range(0, len(batch.paths), BLOCK_STEPS):
+            block = batch.lengths[j0 : j0 + BLOCK_STEPS]
+            for n in set(block.tolist()):
+                at = j0 + np.flatnonzero(block == n)
+                ends = (batch.p_a[at], batch.p_omega[at], [config.tables.p_refs[n - 1]] * len(at),
+                        batch.crypto[at], batch.rwa[at])
+                series = [np.ascontiguousarray(batch.steps[:n, at, k].T) for k in range(4)]
+                paths = [batch.paths[j] for j in at]
+                for s in _reduce_paths(paths, batch.failed[at], ends, batch.in_band[:n, at].T, *series):
+                    batch.summaries[s.path_index] = s
+    return batch.summaries[path_index]

@@ -227,6 +227,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ConfigError("horizon must be at least 1")
+        if not 0 <= self.seed < 2**64:  # rng keys a path by the seed's 64 bits
+            raise ConfigError("seed must lie in [0, 2**64)")
         if sorted(s.id for s in self.assets) != list(range(len(self.assets))):
             raise ConfigError("asset ids must be 0..n-1 and unique")
         if len(self.assets) != self.correlation.size:
@@ -706,85 +708,64 @@ def path_summary(
     The terminal record of a step that raised counts as out of band and,
     holding no collateral, at efficiency 0.
 
-    Given a ``PathBatch``, the summary is that of path ``path_index`` in it.
+    Given a ``PathBatch``, the summary is that of path ``path_index`` in it:
+    the first call for a batch reduces all its paths.
     """
     if not isinstance(trace, SimTrace):
         from .path_batch import batch_path_summary
 
         return batch_path_summary(trace, config, path_index)
     cols = trace.columns
-    inputs = map(trace.array, TRACE_COLUMNS[1:9])
-    _, _, mid, supply_value, eff = record_flags(config.failure, *inputs)
-    return _reduce_path(
-        path_index, bool(cols["failed"][-1]), trace.array("in_band"), eff, mid,
-        trace.array("net_inflow"), supply_value,
-        (cols["p_a"][-1], cols["p_omega"][-1], cols["p_ref"][-1], cols["v1"][-1], cols["v2"][-1]),
+    _, _, mid, supply_value, eff = record_flags(config.failure, *map(trace.array, TRACE_COLUMNS[1:9]))
+    series = (trace.array("in_band"), eff, mid, trace.array("net_inflow"), supply_value)
+    ends = [[cols[c][-1]] for c in ("p_a", "p_omega", "p_ref", "v1", "v2")]
+    (summary,) = _reduce_paths([path_index], [cols["failed"][-1]], ends, *(v[None] for v in series))
+    return summary
+
+
+def _reduce_paths(paths, failed, ends, in_band, eff, mid, inflow, supply_value) -> list[PathSummary]:
+    """The summaries of paths with the same number of records, from
+    ``(paths, records)`` stacks of their per-record series and, per path,
+    the last record's failure flag and (p_a, p_omega, p_ref, crypto, rwa)
+    in ``ends``: the one reduction behind both forms of ``path_summary``.
+    Every sum runs along the last axis of a C-contiguous stack, where a row
+    adds in the order it adds alone: a path keeps its bits in any stack."""
+    burn = min(BURN_IN_STEPS, eff.shape[1] - 1)
+    p_a, p_omega, p_ref, crypto, rwa = ends
+    columns = (  # in PathSummary's field order
+        np.mean(in_band[:, burn:], axis=1), np.mean(eff, axis=1), p_a, p_omega, p_ref,
+        np.max(supply_value, axis=1), crypto, rwa, _inflow_r2(mid, inflow),
     )
+    return [PathSummary(i, bool(f), *map(float, row)) for i, f, *row in zip(paths, failed, *columns)]
 
 
-def _reduce_path(
-    path_index: int,
-    failed: bool,
-    in_band: np.ndarray,
-    eff: np.ndarray,
-    mid: np.ndarray,
-    inflow: np.ndarray,
-    supply_value: np.ndarray,
-    terminal: tuple,
-) -> PathSummary:
-    """A path's summary from its per-record series and its terminal
-    (p_a, p_omega, p_ref, crypto, rwa): the one reduction behind both forms
-    of ``path_summary``."""
-    burn = min(BURN_IN_STEPS, max(len(eff) - 1, 0))
-    in_band = in_band[burn:]
-    p_a, p_o, p_ref, crypto, rwa = terminal
-    return PathSummary(
-        path_index=path_index,
-        failed=failed,
-        in_band_fraction=float(np.mean(in_band)) if len(in_band) else 0.0,
-        mean_efficiency=float(np.mean(eff)),
-        terminal_p_a=float(p_a),
-        terminal_p_omega=float(p_o),
-        terminal_p_ref=float(p_ref),
-        peak_supply_value=float(np.max(supply_value)),
-        terminal_crypto=float(crypto),
-        terminal_rwa=float(rwa),
-        inflow_r2=_inflow_r2(mid, inflow),
-    )
-
-
-def _inflow_r2(mid_prices: np.ndarray, inflow: np.ndarray) -> float:
-    """R-squared of mid-price log-returns on the step's net inflow.
+def _inflow_r2(mid_prices: np.ndarray, inflow: np.ndarray) -> np.ndarray:
+    """R-squared of mid-price log-returns on the step's net inflow, for each
+    row of ``(paths, records)`` stacks.
 
     Relative changes keep collapsed-price steps comparable to healthy ones;
-    the series is truncated at the first non-positive price.
+    a row is truncated at its first non-positive price, and rows cut to the
+    same length reduce together.
     """
     positive = mid_prices > 0
-    if not positive.all():
-        cut = int(np.argmin(positive))
-        mid_prices = mid_prices[:cut]
-        inflow = inflow[:cut]
-    if len(mid_prices) < 3:
-        return float("nan")
+    cuts = np.where(positive.all(axis=1), mid_prices.shape[1], np.argmin(positive, axis=1))
+    out = np.full(len(mid_prices), np.nan)
     # a diverged path's last record of infinite price or inflow makes it
     # NaN, with no numpy warning
     with np.errstate(all="ignore"):
-        dp = np.diff(np.log(mid_prices))
-        x = inflow[1:]
-        if np.std(dp) == 0 or np.std(x) == 0:
-            return float("nan")
-        # np.corrcoef(x, dp)[0, 1] by its own steps, without np.cov's argument
-        # handling: the same means, the same BLAS product on the same shapes
-        X = np.stack((x, dp))
-        X -= X.mean(axis=1)[:, None]
-        c = np.dot(X, X.T.conj())
-        c *= np.true_divide(1, X.shape[1] - 1)
-        sd = np.sqrt(np.diag(c))
-        c /= sd[:, None]
-        c /= sd[None, :]
-        np.clip(c, -1, 1, out=c)
-        r = c[0, 1]
-    return float(min(max(r * r, 0.0), 1.0))
+        for cut in set(cuts[cuts >= 3].tolist()):
+            rows = np.flatnonzero(cuts == cut)
+            # each row's 2 x n block of inflows x and log-returns dp
+            X = np.stack((inflow[rows, 1:cut], np.diff(np.log(mid_prices[rows, :cut]), axis=1)), axis=1)
+            varies = (np.std(X, axis=2) != 0).all(axis=1)
+            # np.corrcoef(x, dp)[0, 1] by its own steps, without np.cov's
+            # argument handling: the same means, and np.matmul takes np.dot's
+            # BLAS product of a block by its transpose
+            X -= X.mean(axis=2)[:, :, None]
+            c = np.matmul(X, X.transpose(0, 2, 1)) * np.true_divide(1, X.shape[2] - 1)
+            r = c[:, 0, 1] / np.sqrt(c[:, 0, 0]) / np.sqrt(c[:, 1, 1])
+            out[rows[varies]] = np.minimum(r * r, 1.0)[varies]  # as corrcoef's clip of r to [-1, 1]
+    return out
 
 
 @dataclass(frozen=True)

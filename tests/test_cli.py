@@ -636,6 +636,43 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["run"], ["mc", "--paths", "3"], ["equilibrium"]])
+    @pytest.mark.parametrize("literal", ["1e400", "1" + "0" * 400], ids=["inf", "huge_int"])
+    def test_number_no_float_holds_exits_config(self, literal, command, tmp_path, capsys):
+        # json reads 1e400 as inf, and 1 followed by 400 zeros as an int
+        # that float() cannot convert
+        data = config_to_dict(load_preset("janus_baseline"))
+        data["market"]["depth_alpha"] = 0.5
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data).replace('"depth_alpha": 0.5', f'"depth_alpha": {literal}'))
+        out = tmp_path / "o"
+        assert main([*command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert "must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_number_no_float_holds_in_grid_exits_config(self, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text('{"sentiment_gain": [1e400]}')
+        out = tmp_path / "o"
+        code = main(["frontier", "--preset", "janus_baseline", "--grid", str(path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**65 - 1])
+    def test_seed_outside_64_bits_exits_config(self, seed, tmp_path, capsys):
+        # the shocks key a path by the seed's 64 bits: these three would
+        # repeat the paths of seed 2**64 - 1 under other config hashes
+        data = config_to_dict(load_preset("janus_baseline"))
+        data["seed"] = seed
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(data))
+        for argv in (["--config", str(path)], ["--preset", "janus_baseline", "--seed", str(seed)]):
+            out = tmp_path / "o"
+            assert main(["mc", "--paths", "3", *argv, "--out", str(out)]) == EXIT_CONFIG
+            assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+            assert not out.exists()
+
 
 def small_data():
     return config_to_dict(small_config(horizon=60))

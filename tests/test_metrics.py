@@ -125,6 +125,11 @@ class TestVerdictTable:
             assert verdicts == sorted(verdicts)
 
 
+def inflow_r2(mid, inflow) -> float:
+    """``_inflow_r2`` of one series, as a stack of one."""
+    return float(_inflow_r2(mid[None], inflow[None])[0])
+
+
 class TestInflowDependence:
     """The R-squared that ``path_summary`` gives each path as its inflow
     dependence."""
@@ -136,13 +141,13 @@ class TestInflowDependence:
         mid[0] = 1.0
         for t in range(1, 200):
             mid[t] = mid[t - 1] * math.exp(0.01 * inflow[t])
-        assert _inflow_r2(mid, inflow) == pytest.approx(1.0, abs=1e-9)
+        assert inflow_r2(mid, inflow) == pytest.approx(1.0, abs=1e-9)
 
     def test_independent_prices(self):
         rng = np.random.default_rng(2)
         inflow = rng.standard_normal(400)
         mid = np.exp(np.cumsum(0.01 * rng.standard_normal(400)))
-        assert _inflow_r2(mid, inflow) < 0.05
+        assert inflow_r2(mid, inflow) < 0.05
 
     def test_truncates_at_price_collapse(self):
         rng = np.random.default_rng(3)
@@ -152,10 +157,10 @@ class TestInflowDependence:
         for t in range(1, 200):
             mid[t] = mid[t - 1] * math.exp(0.01 * inflow[t])
         mid[120:] = 0.0  # collapsed tail must not poison the regression
-        assert _inflow_r2(mid, inflow) == pytest.approx(1.0, abs=1e-9)
+        assert inflow_r2(mid, inflow) == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_trace_is_nan(self):
-        assert math.isnan(_inflow_r2(np.ones(60), np.zeros(60)))
+        assert math.isnan(inflow_r2(np.ones(60), np.zeros(60)))
 
     @staticmethod
     def corrcoef_r2(mid_prices, inflow):
@@ -175,15 +180,34 @@ class TestInflowDependence:
 
     def test_matches_corrcoef_bit_for_bit(self):
         # corrcoef's own steps give its bits: random series of 3-400
-        # records, scales far apart, every fourth with a zero price
+        # records, scales far apart, every fourth with a zero price; each
+        # alone, and the series of each length as one stack
         rng = np.random.default_rng(11)
+        by_length = {}
         for k in range(2000):
             n = int(rng.integers(3, 401))
             mid = np.exp(np.cumsum(rng.normal(0.0, rng.choice([1e-6, 0.01, 1.0]), n)))
             if k % 4 == 0:
                 mid[rng.integers(0, n)] = 0.0
             inflow = rng.normal(0.0, rng.choice([1e-3, 1.0, 1e6]), n)
-            assert repr(_inflow_r2(mid, inflow)) == repr(self.corrcoef_r2(mid, inflow))
+            expected = repr(self.corrcoef_r2(mid, inflow))
+            assert repr(inflow_r2(mid, inflow)) == expected
+            by_length.setdefault(n, []).append((mid, inflow, expected))
+        for cases in by_length.values():
+            mids, inflows, expected = zip(*cases)
+            assert [repr(float(r)) for r in _inflow_r2(np.stack(mids), np.stack(inflows))] == list(expected)
+
+    @pytest.mark.parametrize("scale", [1e-6, 0.01, 1.0])
+    @pytest.mark.parametrize("n", [3, 40, 364])
+    def test_stack_rows_match_corrcoef(self, n, scale):
+        # 300 rows of one length, every fifth with a zero price: rows cut to
+        # different lengths, and each row has its own bits
+        rng = np.random.default_rng(n)
+        mid = np.exp(np.cumsum(rng.normal(0.0, scale, (300, n)), axis=1))
+        mid[np.arange(0, 300, 5), rng.integers(0, n, 60)] = 0.0
+        inflow = rng.normal(0.0, 1.0, (300, n)) * rng.choice([1e-3, 1.0, 1e6], (300, 1))
+        got = _inflow_r2(mid, inflow)
+        assert [repr(float(r)) for r in got] == [repr(self.corrcoef_r2(m, x)) for m, x in zip(mid, inflow)]
 
 
 class TestReports:

@@ -170,6 +170,14 @@ class TestConfigValidation:
         for edge in (0.0, 1.0):
             small_config(liq_penalty=edge)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**65 - 1])
+    def test_seed_must_fit_64_bits(self, seed):
+        # rng keys a path by the seed's 64 bits
+        with pytest.raises(ConfigError, match="seed"):
+            small_config(seed=seed)
+        for edge in (0, 2**64 - 1):
+            small_config(seed=edge)
+
     @pytest.mark.parametrize(
         "field", ["alpha_price", "alpha_supply", "omega_price", "omega_supply", "c_total"]
     )
@@ -823,6 +831,18 @@ class TestPathBatch:
                 elif tr.diverged:
                     non_finite += 1
         assert (raised, non_finite) == (84, 1)
+
+    def test_summary_blocks_keep_bits(self):
+        # A batch reduces its paths a block of B at a time, those with the
+        # same record count together: 70 paths as one batch and as two of 35
+        # cut the blocks and the groups elsewhere, and no summary moves a bit.
+        cfg = diverging_config(seed=1)
+        whole = simulate_path(cfg, range(70))
+        halves = [simulate_path(cfg, r) for r in (range(35), range(35, 70))]
+        assert len(set(whole.lengths.tolist())) > 2
+        assert [repr(path_summary(whole, cfg, i)) for i in range(70)] == [
+            repr(path_summary(halves[i >= 35], cfg, i)) for i in range(70)
+        ]
 
     @pytest.mark.parametrize("overrides", [
         dict(horizon=1), dict(horizon=3), dict(failure=FailureDef(grace=0)),
