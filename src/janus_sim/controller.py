@@ -132,20 +132,26 @@ def control_action(
     eps = band.epsilon
     if abs(d) <= eps:
         return NO_ACTION
-    return _new_action(ControlAction, control_deltas(params, current, abs(d) - eps, 1.0 if d > 0 else -1.0))
+    excess = abs(d) - eps
+    up = 1.0 if d > 0 else -1.0
+    p = params
+    return _new_action(ControlAction, (
+        control_deltas(current[0], excess, -up, p.fee_gain, p.fee_min, p.fee_max),
+        control_deltas(current[1], excess, up, p.reward_gain, p.reward_min, p.reward_max),
+        control_deltas(current[2], excess, -up, p.rate_gain, p.rate_min, p.rate_max),
+    ))
 
 
-def control_deltas(params: ControllerParams, current, excess, sign, clip=_clip) -> tuple:
-    """The deltas of a controller acting on a deviation ``excess`` past the
-    band, on the side ``sign`` (+1.0 above, -1.0 below), clipped to the
-    bounds.  Floats, or arrays with an element-wise ``clip``;
-    ``control_action`` keeps the guards (positive prices, the band test)."""
-    fee, reward, rate = current
-    return (
-        clip(fee + -sign * params.fee_gain * excess, params.fee_min, params.fee_max) - fee,
-        clip(reward + sign * params.reward_gain * excess, params.reward_min, params.reward_max) - reward,
-        clip(rate + -sign * params.rate_gain * excess, params.rate_min, params.rate_max) - rate,
-    )
+def control_deltas(current, excess, sign, gain, lo, hi, clip=_clip):
+    """The delta of a rate ``current`` that the controller moves by ``sign *
+    gain`` per unit of deviation ``excess`` past the band, clipped to
+    [lo, hi]; ``sign`` is +1.0 or -1.0, the side of the band times the
+    rate's direction (-1 for the fee and the variable rate, +1 for the
+    reward).  Floats, or a ``(3, paths)`` stack of the three rates with
+    ``(3, 1)`` columns of signed gains (``sign`` then the side alone) and
+    bounds and an element-wise ``clip``; ``control_action`` keeps the
+    guards (positive prices, the band test)."""
+    return clip(current + sign * gain * excess, lo, hi) - current
 
 
 def apply_action(

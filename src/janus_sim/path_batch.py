@@ -6,18 +6,33 @@ array over the paths.
 trend and stop test of ``simulate_path`` on arrays of paths that share the
 step clock, and records the steps by ``sim_engine``'s ``record_flags`` and
 ``fold_failed``.  It works a block of up to ``BLOCK_STEPS`` steps at a
-time: one ``sim_engine.step_inputs`` call gives the block's inputs, one
-``(steps, paths)`` array per shock column, and one ``record_flags`` call its
-records.  Each path's floats are bit-identical to those of
-``simulate_path`` on that path alone.  Four rules keep them so:
+time: one ``sim_engine.step_inputs`` call gives the block's inputs, stacked
+once into ``(steps, k, paths)`` arrays, and one ``record_flags`` call its
+records.
+
+The paths' state is one ``(9, paths)`` stack with the rows (p_a, p_o, s_a,
+s_o, cv, rv, fee, reward, rate), so that both prices, both supplies, both
+books and the three controller rates are contiguous ``(k, paths)`` views,
+and the supplies and books together one ``(4, paths)`` view.  A config's
+per-row values are ``(k, 1)`` columns (``_columns``): the tokens' demand
+weights, market depths and crypto-book shares of a deposit, and the
+controller's signed gains, bounds and neutral rates.  Each mechanic runs
+once a step on a stack, not once per token, book or rate.
+
+Each path's floats are bit-identical to those of ``simulate_path`` on that
+path alone.  Five rules keep them so:
 
 - A mechanic's arithmetic is the scalar core's own: ``_advance_paths``
   calls the ``market``, ``protocol``, ``controller`` and ``sim_engine``
-  functions that take floats or arrays, and adds only selects, ``redo``
+  functions that take floats or stacks, and adds only selects, ``redo``
   flags and the glue between calls.  A redemption's value less its fee,
   sub-step 5's emission, the skim and the controller's clamps and leak are
   written out: shared, they slowed the scalar step or took more lines than
   they saved (ROADMAP, *Measured and not pursued*).
+- An element-wise ufunc gives each element of a stack the bits it gives on
+  a 1-D row, so a stacked expression keeps the scalar core's order of
+  operations, with a column in place of a float: ``s + (notional * w) /
+  p``, ``c - take * (c / total)``, ``(sign * gain) * excess``.
 - ``exp`` is libm's, as ``math.exp`` takes it: ``_exp_paths`` calls NumPy's
   complex ``exp``, which is libm's ``cexp`` and gives ``math.exp``'s bits on
   a zero imaginary part; ``np.exp`` on floats rounds some inputs
@@ -29,10 +44,11 @@ records.  Each path's floats are bit-identical to those of
   as Python does; ``np.minimum``/``np.maximum`` differ on NaN and signed
   zero.
 - A path-step that would take any other per-path branch (a dead token, an
-  ``exp`` above 709.0, a redemption not paid in full, a capped buyback,
-  empty books, a liquidation, a mid price of 0 or less) is flagged and run
-  again by ``_advance``, whose functions keep those branches' guards.  A NaN
-  sets every flag: a flag is always safe, a missed one loses bits.
+  ``exp`` above 709.0 in any row, a redemption not paid in full, a capped
+  buyback, empty books, a liquidation, a mid price of 0 or less) is flagged
+  and run again by ``_advance``, whose functions keep those branches'
+  guards.  A NaN sets every flag: a flag is always safe, a missed one loses
+  bits.
 
 A batch keeps only what ``path_summary`` reads.  The shocks are stored
 time-major, one ``(paths, n_assets + 3)`` block per step
@@ -50,6 +66,7 @@ copy.  ``sim_engine`` imports this module on first use:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,6 +92,11 @@ from .sim_engine import (
 # and paths whose summaries it reduces together (``batch_path_summary``).
 BLOCK_STEPS = 32
 
+# The rows of the state stack in ``_advance``'s argument order, and back:
+# the stack holds (p_a, p_o, s_a, s_o, cv, rv, fee, reward, rate), and
+# ``_advance`` takes and returns (p_a, s_a, p_o, s_o, cv, rv, ...).
+_ADVANCE_ORDER = [0, 2, 1, 3, 4, 5, 6, 7, 8]
+
 
 def _min(a, b):
     return np.where(b < a, b, a)
@@ -94,124 +116,144 @@ def _exp_paths(x: np.ndarray, redo: np.ndarray) -> np.ndarray:
     ``x + 0j`` there and rescales above.  An element above 709.0 flags its
     path-step in ``redo`` and its value is garbage; the scalar core runs the
     step again and raises where ``math.exp`` overflows (above log(DBL_MAX)
-    ~ 709.78).  A NaN stays NaN and is not flagged, as ``math.exp`` passes
-    it."""
-    redo |= x > 709.0
+    ~ 709.78).  ``x`` is shaped as ``redo`` or is a stack of such arrays, and
+    a path-step is flagged when any of its rows is above 709.0.  A NaN stays
+    NaN and is not flagged, as ``math.exp`` passes it."""
+    over = x > 709.0
+    redo |= np.logical_or.reduce(over) if over.ndim > redo.ndim else over
     z = x.astype(np.complex128)
     return np.exp(z, out=z).real
 
 
-def _where(on, new, old) -> tuple:
-    """``new`` where ``on`` holds, else ``old``, over two tuples of arrays."""
-    return tuple(np.where(on, n, o) for n, o in zip(new, old))
+class _Columns(NamedTuple):
+    """A config's per-row parameters as ``(k, 1)`` columns of the state's
+    stacks: the tokens' demand weights, market depths and crypto-book
+    shares of a deposit, and the controller's signed gains (``sign`` in
+    ``control_deltas``, for the side above the band), bounds and neutral
+    rates."""
+
+    weights: np.ndarray
+    depths: np.ndarray
+    shares: np.ndarray
+    gains: np.ndarray
+    lows: np.ndarray
+    highs: np.ndarray
+    neutrals: np.ndarray
 
 
-def _redeem(policy, on, a_red, o_red, p_a, p_o, books, redo) -> tuple:
-    """``protocol.redeem`` on the books ``(s_a, s_o, cv, rv)`` where ``on``
-    holds and the redemption has value; a path whose books cannot pay it in
-    full is flagged in ``redo``."""
-    s_a, s_o, cv, rv = books
-    value = a_red * p_a + o_red * p_o
+def _columns(config: ScenarioConfig) -> _Columns:
+    ctl = config.controller
+    w_a = config.mint_policy.alpha_omega_split
+    wc = config.tables.wc
+    rows = (
+        (w_a, 1.0 - w_a),
+        (config.depth_alpha, config.depth_omega),
+        (wc, 1.0 - wc),
+        (-ctl.fee_gain, ctl.reward_gain, -ctl.rate_gain),
+        (ctl.fee_min, ctl.reward_min, ctl.rate_min),
+        (ctl.fee_max, ctl.reward_max, ctl.rate_max),
+        (ctl.fee_neutral, ctl.reward_neutral, ctl.rate_neutral),
+    )
+    return _Columns(*(np.array(r)[:, None] for r in rows))
+
+
+def _redeem(policy, on, red, prices, held, redo) -> np.ndarray:
+    """``protocol.redeem`` of ``red`` (the ``(2, paths)`` stack of Alpha and
+    Omega burned) from ``held`` (the stack of supplies and books) where
+    ``on`` holds and the redemption has value; a path whose books cannot pay
+    it in full is flagged in ``redo``."""
+    books = held[2:]
+    value = red * prices
+    value = value[0] + value[1]
     gross = value * (1.0 - policy.redeem_fee)
-    total = cv + rv
-    cv_paid, rv_paid = pay_pro_rata(gross, cv, rv, total)
+    total = books[0] + books[1]
+    paid = pay_pro_rata(gross, books, total)
     on = on & ~(value <= 0)
-    redo |= on & ~((gross > 0) & (gross <= total) & (cv_paid >= 0) & (rv_paid >= 0))
-    return _where(on, (_max(s_a - a_red, 0.0), _max(s_o - o_red, 0.0), cv_paid, rv_paid), books)
+    ok = paid >= 0
+    redo |= on & ~((gross > 0) & (gross <= total) & ok[0] & ok[1])
+    return np.where(on, np.concatenate((_max(held[:2] - red, 0.0), paid)), held)
 
 
-def _advance_paths(config, inputs, redo, trend, t, p_ref, p_a, s_a, p_o, s_o, cv, rv,
-                   fee_rate, reward_rate, var_rate):
-    """``_advance`` on arrays of paths that share the clock ``t``; ``inputs``
-    holds the step's ``step_inputs``, one array over the paths each, and
-    ``redo`` the paths whose inputs overflowed.  Returns ``_advance``'s ten
-    arrays and the mask of paths whose step ``_advance`` must run again
-    (their values are garbage).  Writes none of its inputs."""
+def _advance_paths(config, cols, inputs, redo, trend, t, p_ref, state):
+    """``_advance`` on the ``(9, paths)`` stack ``state`` of paths that share
+    the clock ``t``; ``inputs`` holds the step's ``step_inputs`` as the
+    ``(2, paths)`` stack of book factors, the demand noise and the stack of
+    microstructure factors, and ``redo`` the paths whose inputs overflowed.
+    Returns the state after the step, its mid price, the net inflow and the
+    mask of paths whose step ``_advance`` must run again (their values are
+    garbage).  Writes none of its inputs."""
     tb = config.tables
-    redo = redo | ~((p_a > 0) & (p_o > 0))
+    out = np.empty_like(state)
+    prices, rates = state[:2], state[6:]
+    ok = prices > 0
+    redo = redo | ~(ok[0] & ok[1])
 
     def exp(x):
         return _exp_paths(x, redo)
 
     # -- 2: collateral market move
-    f_crypto, f_rwa, eta, micro_a, micro_o = inputs
-    cv = cv * f_crypto
-    rv = rv * f_rwa
+    factors, eta, micro = inputs
+    held = state[2:6].copy()  # the supplies and the books
+    held[2:] *= factors
 
     # -- 3: RWA yield
-    gross_yield = rv * tb.rwa_rates[t]
+    gross_yield = held[3] * tb.rwa_rates[t]
     retained = gross_yield * config.treasury_split
-    rv = rv + retained
+    held[3] += retained
     omega_yield_flow = gross_yield - retained
 
     # -- 4: demand and protocol flows
     policy = config.mint_policy
-    w_a = policy.alpha_omega_split
-    w_o = 1.0 - w_a
-    flow_a, resp_a = demand_flow(config.demand, tb.bases[t], w_a, p_a, p_ref, trend, eta)
-    flow_o, resp_o = demand_flow(config.demand, tb.bases[t], w_o, p_o, p_ref, trend, eta)
-    net_inflow = flow_a + flow_o
-    books = (s_a, s_o, cv, rv)
-    n_a, n_o, cv_in, rv_in = mint_notional(policy, net_inflow, cv, rv, tb.wc)
-    books = _where(net_inflow > 0, (s_a + n_a / p_a, s_o + n_o / p_o, cv_in, rv_in), books)
-    a_red = _min(-net_inflow * w_a / p_a, books[0])
-    o_red = _min(-net_inflow * w_o / p_o, books[1])
-    books = _redeem(policy, net_inflow < 0, a_red, o_red, p_a, p_o, books, redo)
+    flows, resp = demand_flow(config.demand, tb.bases[t], cols.weights, prices, p_ref, trend, eta)
+    net_inflow = flows[0] + flows[1]
+    notional, deposited = mint_notional(policy, net_inflow, cols.weights, held[2:], cols.shares)
+    held = np.where(net_inflow > 0, np.concatenate((held[:2] + notional / prices, deposited)), held)
+    red = _min(-net_inflow * cols.weights / prices, held[:2])
+    held = _redeem(policy, net_inflow < 0, red, prices, held, redo)
     if config.turnover > 0:
-        a_red, o_red = config.turnover * books[0], config.turnover * books[1]
-        books = _redeem(policy, True, a_red, o_red, p_a, p_o, books, redo)
-    s_a, s_o, cv, rv = books
+        held = _redeem(policy, True, config.turnover * held[:2], prices, held, redo)
+    supplies, books = held[:2], held[2:]
 
     # -- 5: price impact
-    fee = _clip(fee_rate, 0.0, 1.0)
-    reward = reward_rate
-    sv_a = p_a * s_a
-    sv_o = p_o * s_o
-    emission_cost = reward * (sv_a + sv_o)
-    old_total = cv + rv
+    fee = _clip(rates[0], 0.0, 1.0)
+    reward = rates[1]
+    values = prices * supplies
+    emission_cost = reward * (values[0] + values[1])
+    old_total = books[0] + books[1]
     # a buyback capped by the books, or empty books to rescale
     redo |= ~(((emission_cost >= 0) | (-emission_cost <= old_total)) & (old_total > 0))
 
-    mkt_a = resp_a * (1.0 - fee) - reward * sv_a
-    mkt_o = resp_o * (1.0 - fee) - reward * sv_o + omega_yield_flow
-    p_a = price_impact(p_a, mkt_a, config.depth_alpha, exp) * micro_a
-    p_o = price_impact(p_o, mkt_o, config.depth_omega, exp) * micro_o
+    mkt = resp * (1.0 - fee) - reward * values
+    mkt[1] += omega_yield_flow
+    prices = np.multiply(price_impact(prices, mkt, cols.depths, exp), micro, out=out[:2])
 
     scale = _max(old_total + emission_cost, 0.0) / old_total
-    cv = cv * scale
-    rv = rv * scale
-    s_a = s_a * (1.0 + reward)
-    s_o = s_o * (1.0 + reward)
+    books = np.multiply(books, scale, out=out[4:6])
+    supplies = np.multiply(supplies, 1.0 + reward, out=out[2:4])
 
     # -- 6: liquidation and treasury skim
     target_ratio = policy.min_collateral_ratio
+    supply = supplies[0] + supplies[1]
+    total = books[0] + books[1]
     if config.liq_enabled:
-        supply_value = (s_a + s_o) * p_ref
-        redo |= ~((supply_value <= 0) | ((cv + rv) / supply_value >= target_ratio))
+        supply_value = supply * p_ref
+        redo |= ~((supply_value <= 0) | (total / supply_value >= target_ratio))
     if config.skim_rate > 0:  # protocol.skim, written out
-        target = target_ratio * (s_a + s_o) * p_ref
-        total = cv + rv
+        target = target_ratio * supply * p_ref
         f = 1.0 - config.skim_rate * (total - target) / total
-        cv, rv = _where(total > target, (cv * f, rv * f), (cv, rv))
+        np.copyto(books, books * f, where=total > target)
+    out[2:6] = _max(out[2:6], 0.0)
 
     # -- 7: controller: control_action, then apply_action
-    ctl = config.controller
-    mid = 0.5 * (p_a + p_o)
+    mid = 0.5 * (prices[0] + prices[1])
     redo |= ~(mid > 0)
     d = (mid - p_ref) / p_ref
+    dev = np.abs(d)
     eps = config.band.epsilon
-    current = (fee_rate, reward_rate, var_rate)
-    deltas = control_deltas(ctl, current, np.abs(d) - eps, np.where(d > 0, 1.0, -1.0), _clip)
-    acts = ~(np.abs(d) <= eps)
-    limits = ((ctl.fee_min, ctl.fee_max, ctl.fee_neutral), (ctl.reward_min, ctl.reward_max, ctl.reward_neutral),
-              (ctl.rate_min, ctl.rate_max, ctl.rate_neutral))
-    rates = [_clip(c + np.where(acts, delta, 0.0), lo, hi) for c, delta, (lo, hi, _) in zip(current, deltas, limits)]
-    fee_rate, reward_rate, var_rate = (r + ctl.leak * (n - r) for r, (*_, n) in zip(rates, limits))  # the leak
-
-    return (
-        p_a, _max(s_a, 0.0), p_o, _max(s_o, 0.0), _max(cv, 0.0), _max(rv, 0.0),
-        fee_rate, reward_rate, var_rate, net_inflow, redo,
-    )
+    deltas = control_deltas(rates, dev - eps, np.where(d > 0, 1.0, -1.0), cols.gains, cols.lows, cols.highs, _clip)
+    rates = _clip(rates + np.where(dev <= eps, 0.0, deltas), cols.lows, cols.highs)
+    np.add(rates, config.controller.leak * (cols.neutrals - rates), out=out[6:])  # the leak
+    return out, mid, net_inflow, redo
 
 
 @dataclass
@@ -250,13 +292,13 @@ class PathBatch:
 def batch_shocks(config: ScenarioConfig, paths: range) -> np.ndarray:
     """The shocks of the paths of ``paths``, time-major: one
     ``(paths, n_assets + 3)`` block per step (the spare column is never
-    read)."""
+    read, so it is not inverted)."""
     horizon = config.horizon
     width = shock_width(config)
     used = len(config.assets) + 3
     steps = np.empty((horizon, len(paths), used))
     for j, i in enumerate(paths):
-        steps[:, j, :] = sim_engine.shock_block(config.seed, i, horizon, width)[:, :used]
+        steps[:, j, :] = sim_engine.shock_block(config.seed, i, horizon, width, used)
     return steps
 
 
@@ -301,71 +343,80 @@ def simulate_batch(config: ScenarioConfig, paths: range, steps: np.ndarray | Non
 
     head, _ = initial_state(config)
     # the paths' state, trend and previous mid price
-    run = ([np.full(n_paths, v) for v in head], np.zeros(n_paths), np.full(n_paths, 0.5 * (head[0] + head[2])))
+    state = np.repeat(np.array(head)[_ADVANCE_ORDER, None], n_paths, axis=1)
+    run = (state, np.zeros(n_paths), np.full(n_paths, 0.5 * (head[0] + head[2])))
+    cols = _columns(config)
     with np.errstate(all="ignore"):
         for t0, t1 in _blocks(config.tables, horizon):
-            run = _run_block(config, batch, hard, t0, t1, *run)
+            run = _run_block(config, cols, batch, hard, t0, t1, *run)
             if batch.diverged.all():
                 break
-    p_a, _, p_o, _, cv, rv = run[0][:6]
-    _set_ends(batch, ~batch.diverged, p_a, p_o, cv, rv)
+    _set_ends(batch, ~batch.diverged, run[0])
     failed = fold_failed(config.failure, batch.in_band, hard)
     batch.failed = failed[batch.lengths - 1, np.arange(n_paths)]
     return batch
 
 
-def _run_block(config, batch, hard, t0, t1, state, trend, prev_mid) -> tuple:
+def _run_block(config, cols, batch, hard, t0, t1, state, trend, prev_mid) -> tuple:
     """Steps t0..t1-1, a block of ``_blocks``, of every path of the batch,
-    from their state (``_advance_paths``' arrays), trend and previous mid
+    from their state (``_advance_paths``' stack), trend and previous mid
     price; returns those after the block.
 
     The block's step inputs come from one ``step_inputs`` call on its rows of
-    ``batch.steps``, one ``(steps, paths)`` array per shock column.  Each
-    step keeps its raw record, and ``record_flags`` runs once on the block's
-    records, which then overwrite the block's shock slots and fill its rows
-    of ``batch.in_band`` and ``hard``.  A path-step that ``_advance_paths``
-    or the inputs' ``exp`` flags is run again by ``_advance`` on the inputs
-    of its shock row alone, still intact until the block ends, and records
-    the zeroed state if it raises there.  A stop sets ``batch.lengths``,
-    ``batch.diverged`` and the path's last-record values; the path keeps its
-    slot, and its later values are garbage that no rerun, ``fold_failed``
-    (causal along steps) or ``batch_path_summary`` reads.  The block's arrays
-    are freed on return, so none is held while ``fold_failed`` runs."""
+    ``batch.steps``, one ``(steps, paths)`` array per shock column, stacked
+    once into ``(steps, 2, paths)`` arrays of the book factors and of the
+    microstructure factors.  Each step keeps its raw record, and
+    ``record_flags`` runs once on the block's records, which then overwrite
+    the block's shock slots and fill its rows of ``batch.in_band`` and
+    ``hard``.  A path-step that ``_advance_paths`` or the inputs' ``exp``
+    flags is run again by ``_advance`` on the inputs of its shock row alone,
+    still intact until the block ends, and records the zeroed state if it
+    raises there.  A stop sets ``batch.lengths``, ``batch.diverged`` and the
+    path's last-record values; the path keeps its slot, and its later values
+    are garbage that no rerun, ``fold_failed`` (causal along steps) or
+    ``batch_path_summary`` reads.  The block's arrays are freed on return,
+    so none is held while ``fold_failed`` runs."""
     tb = config.tables
     steps = batch.steps
     rows = steps[t0:t1]
     shape = rows.shape[:2]
     in_redo = np.zeros(shape, dtype=bool)
     (inputs,) = step_inputs(config, (np.moveaxis(rows, 2, 0),), t0, lambda x: _exp_paths(x, in_redo))
-    inputs = [np.broadcast_to(v, shape) for v in inputs]
+    f_crypto, f_rwa, eta, micro_a, micro_o = (np.broadcast_to(v, shape) for v in inputs)
+    factors, micro = np.stack((f_crypto, f_rwa), axis=1), np.stack((micro_a, micro_o), axis=1)
     record = np.empty((6, *shape))  # p_a, p_o, s_a, s_o, c_total, net_inflow
+    live = ~batch.diverged
     for t in range(t0, t1):
         k = t - t0
         p_ref = tb.p_refs[t]
         start = state
-        *state, net_inflow, redo = _advance_paths(config, [v[k] for v in inputs], in_redo[k], trend, t, p_ref, *start)
-        raised = np.zeros(len(redo), dtype=bool)
-        for j in np.flatnonzero(redo & ~batch.diverged):  # the scalar core runs the path-step again
+        state, mid, net_inflow, redo = _advance_paths(
+            config, cols, (factors[k], eta[k], micro[k]), in_redo[k], trend, t, p_ref, start
+        )
+        raised = []
+        for j in (redo & live).nonzero()[0].tolist():  # the scalar core runs the path-step again
             try:
                 (step,) = step_inputs(config, (steps[t, j].tolist(),), t)
-                out = _advance(config, step, float(trend[j]), t, p_ref, *(float(v[j]) for v in start))
+                out = _advance(config, step, float(trend[j]), t, p_ref, *start[_ADVANCE_ORDER, j].tolist())
             except OverflowError:
-                raised[j] = True
+                raised.append(j)
                 out = (0.0,) * 10
-            for v, x in zip((*state, net_inflow), out):
-                v[j] = x
-        p_a, s_a, p_o, s_o, cv, rv = state[:6]
-        c_total = cv + rv
-        record[:, k] = (p_a, p_o, s_a, s_o, c_total, net_inflow)
-        mid = 0.5 * (p_a + p_o)
+            state[_ADVANCE_ORDER, j] = out[:9]
+            mid[j] = 0.5 * (out[0] + out[2])
+            net_inflow[j] = out[9]
+        record[:4, k] = state[:4]
+        c_total = np.add(state[4], state[5], out=record[4, k])
+        record[5, k] = net_inflow
         trend = np.where(prev_mid > 0, (mid - prev_mid) / prev_mid, 0.0)
         prev_mid = mid
 
-        stop = ~batch.diverged & (raised | ~(np.isfinite(mid) & np.isfinite(c_total)))
+        stop = live & ~(np.isfinite(mid) & np.isfinite(c_total))
+        stop[raised] = True
         if stop.any():
             batch.lengths[stop] = t + 1
             batch.diverged |= stop
-            _set_ends(batch, stop, p_a, p_o, cv, rv)
+            live = ~batch.diverged
+            _set_ends(batch, stop, state)
             if batch.diverged.all():
                 break
     done = slice(t0, t + 1)
@@ -378,12 +429,12 @@ def _run_block(config, batch, hard, t0, t1, state, trend, prev_mid) -> tuple:
     return state, trend, prev_mid
 
 
-def _set_ends(batch: PathBatch, at, p_a, p_o, cv, rv):
+def _set_ends(batch: PathBatch, at, state):
     """Record the last-record values of the paths the mask ``at`` selects."""
-    batch.p_a[at] = p_a[at]
-    batch.p_omega[at] = p_o[at]
-    batch.crypto[at] = cv[at]
-    batch.rwa[at] = rv[at]
+    batch.p_a[at] = state[0, at]
+    batch.p_omega[at] = state[1, at]
+    batch.crypto[at] = state[4, at]
+    batch.rwa[at] = state[5, at]
 
 
 def batch_path_summary(batch: PathBatch, config: ScenarioConfig, path_index: int) -> PathSummary:

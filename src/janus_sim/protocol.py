@@ -7,8 +7,10 @@ prices and supplies and the crypto/RWA collateral book values it touches,
 and returns their successor values.  The engine's step calls them in its
 frozen sub-step order.
 
-``mint_notional`` and ``pay_pro_rata`` also take arrays over paths
-(``path_batch``); the functions that call them keep the guards.
+``mint_notional`` and ``pay_pro_rata`` work on one token and one book:
+on floats, or on ``(2, paths)`` stacks of both with ``(2, 1)`` columns of
+per-config values (``path_batch``); the functions that call them keep the
+guards.
 """
 
 from __future__ import annotations
@@ -54,7 +56,9 @@ def mint(
     nothing.  Returns (s_a, s_o, cv, rv)."""
     if value <= 0:
         raise ProtocolError("collateral value must be positive to mint")
-    n_a, n_o, cv, rv = mint_notional(policy, value, cv, rv, crypto_share)
+    w_a = policy.alpha_omega_split
+    n_a, cv = mint_notional(policy, value, w_a, cv, crypto_share)
+    n_o, rv = mint_notional(policy, value, 1.0 - w_a, rv, 1.0 - crypto_share)
     if p_a > 0:
         s_a += n_a / p_a
     if p_o > 0:
@@ -62,15 +66,16 @@ def mint(
     return s_a, s_o, cv, rv
 
 
-def mint_notional(policy: MintPolicy, value, cv, rv, crypto_share) -> tuple:
-    """(Alpha notional, Omega notional, cv, rv) of a deposit of ``value``:
-    notional = value / min_ratio * (1 - mint_fee), split by policy; the
-    deposit enters the crypto book at ``crypto_share`` and the RWA book at
-    the rest.  Floats or arrays over paths; ``mint`` keeps the guards and
-    divides by the prices."""
-    w_a = policy.alpha_omega_split
+def mint_notional(policy: MintPolicy, value, weight, book, share) -> tuple:
+    """(a token's notional, a book's value) after a deposit of ``value``:
+    notional = value / min_ratio * (1 - mint_fee), of which the token takes
+    its ``weight`` (the policy's split), and the book takes its ``share`` of
+    the deposit.  ``mint`` pairs Alpha with the crypto book and Omega with
+    the RWA book; ``path_batch`` passes both pairs at once as ``(2, paths)``
+    stacks and ``(2, 1)`` columns.  ``mint`` keeps the guards and divides by
+    the prices."""
     notional = value / policy.min_collateral_ratio * (1.0 - policy.mint_fee)
-    return notional * w_a, notional * (1.0 - w_a), cv + value * crypto_share, rv + value * (1.0 - crypto_share)
+    return notional * weight, book + value * share
 
 
 def redeem(
@@ -109,10 +114,11 @@ def redeem(
     return 0.0 if 0.0 > s_a else s_a, 0.0 if 0.0 > s_o else s_o, cv, rv
 
 
-def pay_pro_rata(take, cv, rv, total) -> tuple:
-    """(cv, rv) after both books pay ``take`` pro rata (``total`` = cv + rv).
-    Floats or arrays; ``_pay_out`` keeps the cap and the overdraw floor."""
-    return cv - take * (cv / total), rv - take * (rv / total)
+def pay_pro_rata(take, book, total):
+    """A book after the books, worth ``total`` together, pay ``take`` pro
+    rata.  A float, or a ``(2, paths)`` stack of both books; ``_pay_out``
+    keeps the cap and the overdraw floor."""
+    return book - take * (book / total)
 
 
 def _pay_out(take: float, cv: float, rv: float) -> tuple[float, float]:
@@ -122,7 +128,7 @@ def _pay_out(take: float, cv: float, rv: float) -> tuple[float, float]:
     total = cv + rv
     if total > 0:
         take = total if total < take else take  # min(take, total)
-        cv, rv = pay_pro_rata(take, cv, rv, total)
+        cv, rv = pay_pro_rata(take, cv, total), pay_pro_rata(take, rv, total)
         if cv < 0.0 or rv < 0.0:  # rounding overdrew a book the payout empties
             cv, rv = 0.0 if 0.0 > cv else cv, 0.0 if 0.0 > rv else rv
     return cv, rv

@@ -180,10 +180,11 @@ def path_generator(base_seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def shock_block(base_seed: int, path_index: int, horizon: int, width: int) -> np.ndarray:
-    """(horizon, width) standard-normal shocks for one path."""
+def shock_block(base_seed: int, path_index: int, horizon: int, width: int, used: int | None = None) -> np.ndarray:
+    """(horizon, width) standard-normal shocks for one path; given ``used``,
+    only their first ``used`` columns, from the same draws."""
     g = path_generator(base_seed, path_index)
-    u = g.random((horizon, width))
+    u = g.random((horizon, width))[:, :used]
     # Map [0, 1) into (0, 1) so the inverse CDF stays finite.
     u = u * (1.0 - 2e-16) + 1e-16
     return _ndtri(u)

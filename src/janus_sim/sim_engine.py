@@ -47,7 +47,7 @@ of the branches presets take often; a path-step that takes a rare one
 ``BATCH_MIN_PATHS`` paths as one batch (``simulate_path(config, range)``,
 then ``path_summary`` on the ``PathBatch``), smaller chunks path by path:
 a batch step costs about 0.2 ms in NumPy calls, so the scalar core wins
-below about 32 paths, as in ``run`` and ``step_map``.  The scalar core is
+below about 20 paths, as in ``run`` and ``step_map``.  The scalar core is
 the reference the batch is tested against; which form ran cannot show in
 any output.
 
@@ -109,15 +109,15 @@ BURN_IN_STEPS = 30
 # scalar core is faster).  No chunk holds more than this many path-steps,
 # which bounds a batch's memory, and no pool starts for this much work or
 # less, where a path-step run path by path counts as SCALAR_STEP_COST
-# batched ones.  Measured on janus_baseline, dai_like and flatcoin_like on a
-# 2-core x86 host (tools/ab_monte_carlo.py, one tree against itself with one
-# side forced to batch and the other path by path): the two forms break even
-# at 30-34 paths (path by path over batched: 0.80-0.82 at 24 paths,
-# 0.99-1.06 at 32, 1.09-1.32 at 40), and an ensemble of 360 paths takes
-# 4.6-5.9 times as long path by path.
-BATCH_MIN_PATHS = 36
+# batched ones.  Measured on janus_baseline and dai_like on a 2-core x86
+# host (tools/ab_monte_carlo.py, one tree against itself with one side
+# forced to batch and the other path by path): the two forms break even at
+# 20-22 paths (path by path over batched: 0.78-0.86 at 16 paths, 0.95-1.03
+# at 20, 1.13-1.21 at 24 with flatcoin_like), and an ensemble of 360 paths
+# takes 6.7-7.1 times as long path by path.
+BATCH_MIN_PATHS = 24
 BATCH_PATH_STEPS = 1 << 18
-SCALAR_STEP_COST = 5
+SCALAR_STEP_COST = 7
 
 
 class ConfigError(ValueError):
@@ -610,9 +610,9 @@ def step_map(x, config: ScenarioConfig):
 
 
 def path_inputs(config: ScenarioConfig, path_index: int) -> list:
-    """The ``step_inputs`` of every step of path ``path_index``, from its
-    shock block."""
-    rows = shock_block(config.seed, path_index, config.horizon, shock_width(config)).tolist()
+    """The ``step_inputs`` of every step of path ``path_index``, from the
+    columns of its shock block that they read."""
+    rows = shock_block(config.seed, path_index, config.horizon, shock_width(config), len(config.assets) + 3).tolist()
     return step_inputs(config, rows, 0)
 
 

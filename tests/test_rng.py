@@ -32,6 +32,15 @@ def test_shock_block_bits_are_pinned(case):
     assert hashlib.sha256(shock_block(*case).tobytes()).hexdigest() == PINNED[case]
 
 
+@pytest.mark.parametrize("case", list(PINNED), ids=lambda c: "-".join(map(str, c)))
+def test_used_columns_keep_their_bits(case):
+    # the engine inverts only the columns it reads, from the same draws
+    for used in sorted({1, case[3] - 1, case[3]} - {0}):
+        part = shock_block(*case, used)
+        assert part.shape == (case[2], used)
+        assert part.tobytes() == np.ascontiguousarray(shock_block(*case)[:, :used]).tobytes()
+
+
 def boundary_points():
     e2 = math.exp(-2.0)
     points = [0.5, 1e-16, 1.0 - 2.2e-16, 1e-300, 5e-324, 2.0 ** -60, 1e-15, 1.2e-14, 1.3e-14]

@@ -892,7 +892,8 @@ class TestPathBatch:
         s_a, s_o, zeros, ones = 2.0 * a_red, np.full(n, 10.0), np.zeros(n), np.ones(n)
         policy = MintPolicy(min_collateral_ratio=1.0)
         redo = np.zeros(n, dtype=bool)
-        out = path_batch._redeem(policy, True, a_red, zeros, ones, ones, (s_a, s_o, cv, rv), redo)
+        red, prices, held = np.stack((a_red, zeros)), np.stack((ones, ones)), np.stack((s_a, s_o, cv, rv))
+        out = path_batch._redeem(policy, True, red, prices, held, redo)
         for j in np.flatnonzero(~redo).tolist():
             a, sa, so, c, r = (float(v[j]) for v in (a_red, s_a, s_o, cv, rv))
             scalar = redeem(policy, a, 0.0, 1.0, 1.0, sa, so, c, r)
