@@ -134,11 +134,10 @@ def control_action(
         return NO_ACTION
     excess = abs(d) - eps
     up = 1.0 if d > 0 else -1.0
-    p = params
     return _new_action(ControlAction, (
-        control_deltas(current[0], excess, -up, p.fee_gain, p.fee_min, p.fee_max),
-        control_deltas(current[1], excess, up, p.reward_gain, p.reward_min, p.reward_max),
-        control_deltas(current[2], excess, -up, p.rate_gain, p.rate_min, p.rate_max),
+        control_deltas(current[0], excess, -up, params.fee_gain, params.fee_min, params.fee_max),
+        control_deltas(current[1], excess, up, params.reward_gain, params.reward_min, params.reward_max),
+        control_deltas(current[2], excess, -up, params.rate_gain, params.rate_min, params.rate_max),
     ))
 
 
