@@ -1158,7 +1158,8 @@ class TestFrontier:
         pts = frontier_sweep(cfg, {"theta": [[0.5, 0.5], [0.9, 0.1]]}, 2)
         assert len(pts) == 2
 
-    @pytest.mark.parametrize("n_paths", [3, sim_engine.BATCH_MIN_PATHS])
+    # 36 paths: a batch above the threshold, not only at it
+    @pytest.mark.parametrize("n_paths", sorted({3, 36, sim_engine.BATCH_MIN_PATHS}))
     def test_cells_that_change_the_paths_step_their_own(self, n_paths):
         # micro_vol and the stress window change the step inputs; epsilon
         # does not, so the eight cells form four groups of two
