@@ -51,7 +51,7 @@ path alone.  Five rules keep them so:
   bits.
 
 A batch keeps only what ``path_summary`` reads.  The shocks are stored
-time-major, one ``(paths, n_assets + 3)`` block per step
+time-major, one ``(paths, columns)`` block of ``path_shocks`` per step
 (``batch_shocks``), and once a block of steps is done its records overwrite
 the shock slots the block has consumed, so a batch holds little more than
 its shocks.  A path that stops keeps its slot and is stepped on with the
@@ -83,7 +83,6 @@ from .sim_engine import (
     initial_state,
     price_impact,
     record_flags,
-    shock_width,
     step_inputs,
 )
 
@@ -290,15 +289,14 @@ class PathBatch:
 
 
 def batch_shocks(config: ScenarioConfig, paths: range) -> np.ndarray:
-    """The shocks of the paths of ``paths``, time-major: one
-    ``(paths, n_assets + 3)`` block per step (the spare column is never
-    read, so it is not inverted)."""
-    horizon = config.horizon
-    width = shock_width(config)
-    used = len(config.assets) + 3
-    steps = np.empty((horizon, len(paths), used))
+    """The ``path_shocks`` of the paths of ``paths``, time-major: one
+    ``(paths, columns)`` block per step."""
+    steps = None
     for j, i in enumerate(paths):
-        steps[:, j, :] = sim_engine.shock_block(config.seed, i, horizon, width, used)
+        block = sim_engine.path_shocks(config, i)
+        if steps is None:
+            steps = np.empty((block.shape[0], len(paths), block.shape[1]))
+        steps[:, j, :] = block
     return steps
 
 

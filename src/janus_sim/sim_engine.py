@@ -609,11 +609,16 @@ def step_map(x, config: ScenarioConfig):
     return succ if isinstance(x, list) else np.array(succ)
 
 
+def path_shocks(config: ScenarioConfig, path_index: int) -> np.ndarray:
+    """Path ``path_index``'s shock block without its spare last column, which
+    no step reads (so it is not inverted)."""
+    width = shock_width(config)
+    return shock_block(config.seed, path_index, config.horizon, width, width - 1)
+
+
 def path_inputs(config: ScenarioConfig, path_index: int) -> list:
-    """The ``step_inputs`` of every step of path ``path_index``, from the
-    columns of its shock block that they read."""
-    rows = shock_block(config.seed, path_index, config.horizon, shock_width(config), len(config.assets) + 3).tolist()
-    return step_inputs(config, rows, 0)
+    """The ``step_inputs`` of every step of path ``path_index``."""
+    return step_inputs(config, path_shocks(config, path_index).tolist(), 0)
 
 
 def simulate_path(
