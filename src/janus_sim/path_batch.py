@@ -266,9 +266,10 @@ class PathBatch:
     was done.  ``in_band[t, j]`` is the record's in-band flag.  A path that
     stops keeps its slot, and its rows past its last record hold garbage
     that nothing reads.  Per path: the number of records, whether the path
-    diverged, the last record's failure flag and its prices and collateral
-    books.  ``summaries`` maps each path index to its ``PathSummary`` once
-    the first ``path_summary`` call has reduced them.  ``len()`` is the
+    diverged and the last record's failure flag.  ``last[:, j]`` is the
+    path's state at its last record, in the rows of ``_advance_paths``'
+    stack.  ``summaries`` holds the paths' ``PathSummary`` rows, by position,
+    once the first ``path_summary`` call has reduced them.  ``len()`` is the
     number of records of all paths.
     """
 
@@ -278,11 +279,8 @@ class PathBatch:
     lengths: np.ndarray
     diverged: np.ndarray
     failed: np.ndarray
-    p_a: np.ndarray
-    p_omega: np.ndarray
-    crypto: np.ndarray
-    rwa: np.ndarray
-    summaries: dict | None = None
+    last: np.ndarray
+    summaries: list | None = None
 
     def __len__(self):
         return int(self.lengths.sum())
@@ -332,10 +330,7 @@ def simulate_batch(config: ScenarioConfig, paths: range, steps: np.ndarray | Non
         lengths=np.full(n_paths, horizon),
         diverged=np.zeros(n_paths, dtype=bool),
         failed=np.zeros(n_paths, dtype=bool),
-        p_a=np.empty(n_paths),
-        p_omega=np.empty(n_paths),
-        crypto=np.empty(n_paths),
-        rwa=np.empty(n_paths),
+        last=np.empty((9, n_paths)),
     )
     hard = np.zeros((horizon, n_paths), dtype=bool)
 
@@ -349,7 +344,7 @@ def simulate_batch(config: ScenarioConfig, paths: range, steps: np.ndarray | Non
             run = _run_block(config, cols, batch, hard, t0, t1, *run)
             if batch.diverged.all():
                 break
-    _set_ends(batch, ~batch.diverged, run[0])
+    np.copyto(batch.last, run[0], where=~batch.diverged)
     failed = fold_failed(config.failure, batch.in_band, hard)
     batch.failed = failed[batch.lengths - 1, np.arange(n_paths)]
     return batch
@@ -370,7 +365,7 @@ def _run_block(config, cols, batch, hard, t0, t1, state, trend, prev_mid) -> tup
     flags is run again by ``_advance`` on the inputs of its shock row alone,
     still intact until the block ends, and records the zeroed state if it
     raises there.  A stop sets ``batch.lengths``, ``batch.diverged`` and the
-    path's last-record values; the path keeps its slot, and its later values
+    path's column of ``batch.last``; the path keeps its slot, and its later values
     are garbage that no rerun, ``fold_failed`` (causal along steps) or
     ``batch_path_summary`` reads.  The block's arrays are freed on return,
     so none is held while ``fold_failed`` runs."""
@@ -414,7 +409,7 @@ def _run_block(config, cols, batch, hard, t0, t1, state, trend, prev_mid) -> tup
             batch.lengths[stop] = t + 1
             batch.diverged |= stop
             live = ~batch.diverged
-            _set_ends(batch, stop, state)
+            np.copyto(batch.last, state, where=stop)
             if batch.diverged.all():
                 break
     done = slice(t0, t + 1)
@@ -427,29 +422,22 @@ def _run_block(config, cols, batch, hard, t0, t1, state, trend, prev_mid) -> tup
     return state, trend, prev_mid
 
 
-def _set_ends(batch: PathBatch, at, state):
-    """Record the last-record values of the paths the mask ``at`` selects."""
-    batch.p_a[at] = state[0, at]
-    batch.p_omega[at] = state[1, at]
-    batch.crypto[at] = state[4, at]
-    batch.rwa[at] = state[5, at]
-
-
 def batch_path_summary(batch: PathBatch, config: ScenarioConfig, path_index: int) -> PathSummary:
     """``path_summary`` of one path of a batch.  The first call reduces all
     its paths, ``BLOCK_STEPS`` at a time to keep the copies small: those of
-    a block with the same number of records in one ``_reduce_paths``, on
-    contiguous ``(paths, records)`` copies of their series."""
+    a block with the same number of records in one ``_reduce_paths``, on one
+    C-contiguous ``(paths, records)`` copy of each series."""
     if batch.summaries is None:
-        batch.summaries = {}
+        batch.summaries = [None] * len(batch.paths)
         for j0 in range(0, len(batch.paths), BLOCK_STEPS):
             block = batch.lengths[j0 : j0 + BLOCK_STEPS]
             for n in set(block.tolist()):
                 at = j0 + np.flatnonzero(block == n)
-                ends = (batch.p_a[at], batch.p_omega[at], [config.tables.p_refs[n - 1]] * len(at),
-                        batch.crypto[at], batch.rwa[at])
-                series = [np.ascontiguousarray(batch.steps[:n, at, k].T) for k in range(4)]
+                last = batch.last[:, at]
+                ends = (last[0], last[1], [config.tables.p_refs[n - 1]] * len(at), last[4], last[5])
+                series = [batch.steps[:n, :, k].T[at] for k in range(4)]
                 paths = [batch.paths[j] for j in at]
-                for s in _reduce_paths(paths, batch.failed[at], ends, batch.in_band[:n, at].T, *series):
-                    batch.summaries[s.path_index] = s
-    return batch.summaries[path_index]
+                summaries = _reduce_paths(paths, batch.failed[at], ends, batch.in_band[:n, at].T, *series)
+                for j, s in zip(at.tolist(), summaries):
+                    batch.summaries[j] = s
+    return batch.summaries[batch.paths.index(path_index)]

@@ -686,8 +686,9 @@ def simulate_path(
     return trace
 
 
-@dataclass(frozen=True)
-class PathSummary:
+class PathSummary(NamedTuple):
+    """One path's row of the ensemble's columns."""
+
     path_index: int
     failed: bool
     in_band_fraction: float
@@ -905,7 +906,7 @@ def _run_cells(configs: list[ScenarioConfig], n_paths: int, workers: int) -> lis
     return out
 
 
-def _median(values: list[float]) -> float:
+def _median(values: tuple[float, ...]) -> float:
     """``np.median``'s bits, without the ``numpy.ma`` import it makes."""
     if any(math.isnan(v) for v in values):
         return math.nan
@@ -915,28 +916,30 @@ def _median(values: list[float]) -> float:
 
 
 def _ensemble_summary(config: ScenarioConfig, summaries: list[PathSummary]) -> EnsembleSummary:
-    """The ensemble statistics of ``summaries``, reduced in their order."""
+    """The ensemble statistics of ``summaries``, reduced in their order from
+    their columns."""
+    cols = PathSummary._make(zip(*summaries))
     n_paths = len(summaries)
-    failures = sum(1 for s in summaries if s.failed)
-    r2s = [s.inflow_r2 for s in summaries if not math.isnan(s.inflow_r2)]
+    failures = sum(cols.failed)
+    r2s = [r for r in cols.inflow_r2 if not math.isnan(r)]
     return EnsembleSummary(
         n_paths=n_paths,
         failures=failures,
         p_fail=failures / n_paths,
         p_fail_ci=_wilson_interval(failures, n_paths),
-        mean_in_band=float(np.mean([s.in_band_fraction for s in summaries])),
-        mean_efficiency=float(np.mean([s.mean_efficiency for s in summaries])),
-        mean_terminal_p_a=float(np.mean([s.terminal_p_a for s in summaries])),
-        mean_terminal_p_omega=float(np.mean([s.terminal_p_omega for s in summaries])),
-        median_terminal_p_a=_median([s.terminal_p_a for s in summaries]),
-        median_terminal_p_omega=_median([s.terminal_p_omega for s in summaries]),
+        mean_in_band=float(np.mean(cols.in_band_fraction)),
+        mean_efficiency=float(np.mean(cols.mean_efficiency)),
+        mean_terminal_p_a=float(np.mean(cols.terminal_p_a)),
+        mean_terminal_p_omega=float(np.mean(cols.terminal_p_omega)),
+        median_terminal_p_a=_median(cols.terminal_p_a),
+        median_terminal_p_omega=_median(cols.terminal_p_omega),
         terminal_p_ref=reference_price(config.ref_policy, config.horizon),
-        minted_notional=float(np.mean([s.peak_supply_value for s in summaries])),
-        crypto_anchor=float(np.mean([s.terminal_crypto for s in summaries])),
-        rwa_anchor=float(np.mean([s.terminal_rwa for s in summaries])),
+        minted_notional=float(np.mean(cols.peak_supply_value)),
+        crypto_anchor=float(np.mean(cols.terminal_crypto)),
+        rwa_anchor=float(np.mean(cols.terminal_rwa)),
         mean_inflow_r2=float(np.mean(r2s)) if r2s else float("nan"),
-        in_band_fractions=tuple(s.in_band_fraction for s in summaries),
-        failed_flags=tuple(s.failed for s in summaries),
+        in_band_fractions=cols.in_band_fraction,
+        failed_flags=cols.failed,
     )
 
 

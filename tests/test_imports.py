@@ -1,4 +1,4 @@
-"""Every module-level import under ``src/`` and ``tests/`` is used.
+"""Every module-level import under ``src/``, ``tests/`` and ``tools/`` is used.
 
 The repository has no lint step; this is the one lint rule it keeps.  A name
 bound by a module-level ``import`` counts as used when it appears anywhere
@@ -14,7 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(
-    p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py"
+    p for d in ("src", "tests", "tools") for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py"
 )
 
 

@@ -19,8 +19,9 @@ a side's time is the sum of its two copies' times.  The check iterates the
 map ``--check`` times from each preset's initial state on every copy and
 compares every iterate by ``repr``.  A round then times each preset on each
 copy, best of ``--best`` repeats of ``--calls`` calls on the state reached
-by the check, in load order or its reverse, alternating from round to
-round.  Each round prints its ratio (the change's summed best times over
+by the check.  The sides take the timing slots in the order P C C P and
+C P P C by turns (``run_rounds``), so neither side always runs first and
+last.  Each round prints its ratio (the change's summed best times over
 the parent's) and the per-preset ratios; the last line gives the median
 ratio and the rounds the change won.  Uses only the standard library and
 the package.
@@ -131,20 +132,27 @@ def same_on_copies(copies: list, cases, value, differ) -> bool:
 
 def run_rounds(copies: list, n_rounds: int, time_round, detail) -> None:
     """``n_rounds`` rounds, garbage collector off, of ``time_round`` on the
-    copies in load order or its reverse by turns; it returns each copy's
-    times as a dict, and a side's are the sums of its two copies'.  Prints
-    each round's ratio and ``detail(parent, change)``, then the median."""
+    copies (parent, change, change, parent); it returns each copy's times as
+    a dict, and a side's are the sums of its two copies'.  The copies run in
+    load order, then with each parent copy swapped with the change copy
+    beside it, then in reverse, then reversed and swapped: by side, P C C P
+    and C P P C by turns, so that over two rounds each side takes each slot
+    once, and over four rounds each copy does.  Prints each round's ratio
+    and ``detail(parent, change)``, then the median."""
     ratios, wins = [], 0
     gc.disable()
     try:
         for r in range(n_rounds):
-            times = time_round(copies if r % 2 == 0 else copies[::-1])
+            order = copies if r % 4 < 2 else copies[::-1]
+            if r % 2:
+                order = [order[1], order[0], order[3], order[2]]
+            times = time_round(order)
             a = {k: times[copies[0]][k] + times[copies[3]][k] for k in times[copies[0]]}
             b = {k: times[copies[1]][k] + times[copies[2]][k] for k in a}
             ratio = sum(b.values()) / sum(a.values())
             ratios.append(ratio)
             wins += ratio < 1.0
-            way = "load order" if r % 2 == 0 else "reversed"
+            way = "P C C P" if r % 2 == 0 else "C P P C"
             print(f"round {r + 1:2d} ({way}): ratio {ratio:.3f}  {detail(a, b)}")
     finally:
         gc.enable()
