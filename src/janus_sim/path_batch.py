@@ -2,13 +2,14 @@
 range of paths, with each of the engine's per-path floats held in a NumPy
 array over the paths.
 
-``simulate_batch`` runs sub-steps 2-7 of ``sim_engine._advance`` and the
-trend and stop test of ``simulate_path`` on arrays of paths that share the
-step clock, and records the steps by ``sim_engine``'s ``record_flags`` and
-``fold_failed``.  It works a block of up to ``BLOCK_STEPS`` steps at a
-time: one ``sim_engine.step_inputs`` call gives the block's inputs, stacked
-once into ``(steps, k, paths)`` arrays, and one ``record_flags`` call its
-records.
+``simulate_batch`` runs a batch as ``simulate_path`` runs one path: sub-steps
+2-7 of ``sim_engine._advance`` and the trend and stop test of
+``simulate_path`` on arrays of paths that share the step clock, with the
+steps recorded by ``sim_engine``'s ``record_flags`` and ``fold_failed``.  It
+works a block of up to ``BLOCK_STEPS`` steps at a time: one
+``sim_engine.step_inputs`` call gives the block's inputs, stacked once into
+one ``(steps, 5, paths)`` array, and one ``record_flags`` call its records.
+It builds the ``PathBatch`` once, from its arrays, after ``fold_failed``.
 
 The paths' state is one ``(9, paths)`` stack with the rows (p_a, p_o, s_a,
 s_o, cv, rv, fee, reward, rate), so that both prices, both supplies, both
@@ -175,9 +176,9 @@ def _redeem(policy, on, red, prices, held, redo) -> np.ndarray:
 
 def _advance_paths(config, cols, inputs, redo, trend, t, p_ref, state):
     """``_advance`` on the ``(9, paths)`` stack ``state`` of paths that share
-    the clock ``t``; ``inputs`` holds the step's ``step_inputs`` as the
-    ``(2, paths)`` stack of book factors, the demand noise and the stack of
-    microstructure factors, and ``redo`` the paths whose inputs overflowed.
+    the clock ``t``; ``inputs`` holds the step's ``step_inputs`` as one
+    ``(5, paths)`` stack (the two book factors, the demand noise and the two
+    microstructure factors), and ``redo`` the paths whose inputs overflowed.
     Returns the state after the step, its mid price, the net inflow and the
     mask of paths whose step ``_advance`` must run again (their values are
     garbage).  Writes none of its inputs."""
@@ -191,7 +192,7 @@ def _advance_paths(config, cols, inputs, redo, trend, t, p_ref, state):
         return _exp_paths(x, redo)
 
     # -- 2: collateral market move
-    factors, eta, micro = inputs
+    factors, eta, micro = inputs[:2], inputs[2], inputs[3:]
     held = state[2:6].copy()  # the supplies and the books
     held[2:] *= factors
 
@@ -258,19 +259,19 @@ def _advance_paths(config, cols, inputs, redo, trend, t, p_ref, state):
 @dataclass
 class PathBatch:
     """A range of paths run side by side, kept as ``path_summary`` reads
-    them.
+    them; ``simulate_batch`` builds it once, after its ``fold_failed``.
 
     ``steps[t, j]`` holds the record of step t + 1 of path ``paths[j]`` in
     its first four slots (efficiency, mid price, net inflow, supply value);
-    the step's shock row filled that row until the step's block of steps
-    was done.  ``in_band[t, j]`` is the record's in-band flag.  A path that
-    stops keeps its slot, and its rows past its last record hold garbage
-    that nothing reads.  Per path: the number of records, whether the path
-    diverged and the last record's failure flag.  ``last[:, j]`` is the
-    path's state at its last record, in the rows of ``_advance_paths``'
-    stack.  ``summaries`` holds the paths' ``PathSummary`` rows, by position,
-    once the first ``path_summary`` call has reduced them.  ``len()`` is the
-    number of records of all paths.
+    the step's shock row filled that row until the step's block was done.
+    ``in_band[t, j]`` is the record's in-band flag.  Per path:
+    ``lengths[j]``, the number of records; ``diverged[j]``, whether it
+    stopped; ``failed[j]``, the last record's failure flag; ``last[:, j]``,
+    its state at its last record, in the rows of ``_advance_paths``' stack.
+    A stopped path keeps its slot, and its rows past its last record hold
+    garbage that nothing reads.  ``summaries`` holds the paths'
+    ``PathSummary`` rows, by position, once the first ``path_summary`` call
+    has reduced them.  ``len()`` is the number of records of all paths.
     """
 
     paths: range
@@ -313,113 +314,94 @@ def _blocks(tables, horizon: int):
 
 
 def simulate_batch(config: ScenarioConfig, paths: range, steps: np.ndarray | None = None) -> PathBatch:
-    """``simulate_path``'s loop on the paths of ``paths`` at once, a block of
-    steps (``_blocks``) at a time (``_run_block``), on their rows of
-    ``steps`` (by default ``batch_shocks``), which the batch overwrites.
-    One ``fold_failed`` runs at the end.  A path that stops (its step raised
-    or left a non-finite value) keeps its slot; ``batch.diverged`` is the
-    only record that it stopped."""
+    """``simulate_path``'s loop on the paths of ``paths`` at once, on their
+    rows of ``steps`` (by default ``batch_shocks``), which the batch
+    overwrites.
+
+    The paths' state (``_advance_paths``' stack), trend and previous mid
+    price step a block of ``_blocks`` at a time.  One ``step_inputs`` call on
+    the block's shock rows, one ``(steps, paths)`` array per column, gives
+    the block's inputs, stacked once into a ``(steps, 5, paths)`` array.
+    Each step keeps its raw record; one ``record_flags`` call on the block's
+    records fills the block's rows of the flags, and the records overwrite
+    the block's shock slots.  A path-step that ``_advance_paths`` or the
+    inputs' ``exp`` flags is run again by ``_advance`` on the inputs of its
+    shock row alone, still intact until the block ends, and records the
+    zeroed state if it raises there.  A path stops when its step raised or
+    left a non-finite mid price or collateral: it keeps its slot and is
+    stepped on with the others, but no rerun, ``fold_failed`` (causal along
+    steps) or ``batch_path_summary`` reads its later values.  One
+    ``fold_failed`` runs at the end, and the ``PathBatch`` is built from its
+    flags and the run's arrays."""
     n_paths = len(paths)
     horizon = config.horizon
+    tb = config.tables
     if steps is None:
         steps = batch_shocks(config, paths)
-    batch = PathBatch(
-        paths=paths,
-        steps=steps,
-        in_band=np.zeros((horizon, n_paths), dtype=bool),
-        lengths=np.full(n_paths, horizon),
-        diverged=np.zeros(n_paths, dtype=bool),
-        failed=np.zeros(n_paths, dtype=bool),
-        last=np.empty((9, n_paths)),
-    )
+    in_band = np.zeros((horizon, n_paths), dtype=bool)
     hard = np.zeros((horizon, n_paths), dtype=bool)
+    lengths = np.full(n_paths, horizon)
+    live = np.ones(n_paths, dtype=bool)
+    last = np.empty((9, n_paths))
 
     head, _ = initial_state(config)
     # the paths' state, trend and previous mid price
     state = np.repeat(np.array(head)[_ADVANCE_ORDER, None], n_paths, axis=1)
-    run = (state, np.zeros(n_paths), np.full(n_paths, 0.5 * (head[0] + head[2])))
+    trend = np.zeros(n_paths)
+    prev_mid = np.full(n_paths, 0.5 * (head[0] + head[2]))
     cols = _columns(config)
     with np.errstate(all="ignore"):
-        for t0, t1 in _blocks(config.tables, horizon):
-            run = _run_block(config, cols, batch, hard, t0, t1, *run)
-            if batch.diverged.all():
+        for t0, t1 in _blocks(tb, horizon):
+            rows = steps[t0:t1]
+            in_redo = np.zeros(rows.shape[:2], dtype=bool)
+            (inputs,) = step_inputs(config, (np.moveaxis(rows, 2, 0),), t0, lambda x: _exp_paths(x, in_redo))
+            inputs = np.stack([np.broadcast_to(v, in_redo.shape) for v in inputs], axis=1)
+            record = np.empty((6, t1 - t0, n_paths))  # p_a, p_o, s_a, s_o, c_total, net_inflow
+            for k, t in enumerate(range(t0, t1)):
+                p_ref = tb.p_refs[t]
+                start = state
+                state, mid, net_inflow, redo = _advance_paths(
+                    config, cols, inputs[k], in_redo[k], trend, t, p_ref, start
+                )
+                raised = []
+                for j in (redo & live).nonzero()[0].tolist():  # the scalar core runs the path-step again
+                    try:
+                        (step,) = step_inputs(config, (steps[t, j].tolist(),), t)
+                        out = _advance(config, step, float(trend[j]), t, p_ref, *start[_ADVANCE_ORDER, j].tolist())
+                    except OverflowError:
+                        raised.append(j)
+                        out = (0.0,) * 10
+                    state[_ADVANCE_ORDER, j] = out[:9]
+                    mid[j] = 0.5 * (out[0] + out[2])
+                    net_inflow[j] = out[9]
+                record[:4, k] = state[:4]
+                record[4, k] = state[4] + state[5]
+                record[5, k] = net_inflow
+                trend = np.where(prev_mid > 0, (mid - prev_mid) / prev_mid, 0.0)
+                prev_mid = mid
+
+                stop = live & ~(np.isfinite(mid) & np.isfinite(record[4, k]))
+                stop[raised] = True
+                if stop.any():
+                    lengths[stop] = t + 1
+                    live &= ~stop
+                    np.copyto(last, state, where=stop)
+                    if not live.any():
+                        break
+            done = slice(t0, t + 1)
+            record = record[:, : k + 1]
+            p_ref, lo, hi = (np.array(v[done])[:, None] for v in (tb.p_refs, tb.band_lo, tb.band_hi))
+            in_band[done], hard[done], mid, supply_value, eff = record_flags(
+                config.failure, *record[:2], p_ref, lo, hi, *record[2:5]
+            )
+            steps[done, :, :4] = np.stack((eff, mid, record[5], supply_value), axis=-1)
+            # freed before the next block's arrays, or fold_failed's, are made
+            del inputs, in_redo, record, mid, supply_value, eff
+            if not live.any():
                 break
-    np.copyto(batch.last, run[0], where=~batch.diverged)
-    failed = fold_failed(config.failure, batch.in_band, hard)
-    batch.failed = failed[batch.lengths - 1, np.arange(n_paths)]
-    return batch
-
-
-def _run_block(config, cols, batch, hard, t0, t1, state, trend, prev_mid) -> tuple:
-    """Steps t0..t1-1, a block of ``_blocks``, of every path of the batch,
-    from their state (``_advance_paths``' stack), trend and previous mid
-    price; returns those after the block.
-
-    The block's step inputs come from one ``step_inputs`` call on its rows of
-    ``batch.steps``, one ``(steps, paths)`` array per shock column, stacked
-    once into ``(steps, 2, paths)`` arrays of the book factors and of the
-    microstructure factors.  Each step keeps its raw record, and
-    ``record_flags`` runs once on the block's records, which then overwrite
-    the block's shock slots and fill its rows of ``batch.in_band`` and
-    ``hard``.  A path-step that ``_advance_paths`` or the inputs' ``exp``
-    flags is run again by ``_advance`` on the inputs of its shock row alone,
-    still intact until the block ends, and records the zeroed state if it
-    raises there.  A stop sets ``batch.lengths``, ``batch.diverged`` and the
-    path's column of ``batch.last``; the path keeps its slot, and its later values
-    are garbage that no rerun, ``fold_failed`` (causal along steps) or
-    ``batch_path_summary`` reads.  The block's arrays are freed on return,
-    so none is held while ``fold_failed`` runs."""
-    tb = config.tables
-    steps = batch.steps
-    rows = steps[t0:t1]
-    shape = rows.shape[:2]
-    in_redo = np.zeros(shape, dtype=bool)
-    (inputs,) = step_inputs(config, (np.moveaxis(rows, 2, 0),), t0, lambda x: _exp_paths(x, in_redo))
-    f_crypto, f_rwa, eta, micro_a, micro_o = (np.broadcast_to(v, shape) for v in inputs)
-    factors, micro = np.stack((f_crypto, f_rwa), axis=1), np.stack((micro_a, micro_o), axis=1)
-    record = np.empty((6, *shape))  # p_a, p_o, s_a, s_o, c_total, net_inflow
-    live = ~batch.diverged
-    for t in range(t0, t1):
-        k = t - t0
-        p_ref = tb.p_refs[t]
-        start = state
-        state, mid, net_inflow, redo = _advance_paths(
-            config, cols, (factors[k], eta[k], micro[k]), in_redo[k], trend, t, p_ref, start
-        )
-        raised = []
-        for j in (redo & live).nonzero()[0].tolist():  # the scalar core runs the path-step again
-            try:
-                (step,) = step_inputs(config, (steps[t, j].tolist(),), t)
-                out = _advance(config, step, float(trend[j]), t, p_ref, *start[_ADVANCE_ORDER, j].tolist())
-            except OverflowError:
-                raised.append(j)
-                out = (0.0,) * 10
-            state[_ADVANCE_ORDER, j] = out[:9]
-            mid[j] = 0.5 * (out[0] + out[2])
-            net_inflow[j] = out[9]
-        record[:4, k] = state[:4]
-        c_total = np.add(state[4], state[5], out=record[4, k])
-        record[5, k] = net_inflow
-        trend = np.where(prev_mid > 0, (mid - prev_mid) / prev_mid, 0.0)
-        prev_mid = mid
-
-        stop = live & ~(np.isfinite(mid) & np.isfinite(c_total))
-        stop[raised] = True
-        if stop.any():
-            batch.lengths[stop] = t + 1
-            batch.diverged |= stop
-            live = ~batch.diverged
-            np.copyto(batch.last, state, where=stop)
-            if batch.diverged.all():
-                break
-    done = slice(t0, t + 1)
-    p_ref, lo, hi = (np.array(v[done])[:, None] for v in (tb.p_refs, tb.band_lo, tb.band_hi))
-    p_a, p_o, s_a, s_o, c_total, net_inflow = record[:, : t + 1 - t0]
-    batch.in_band[done], hard[done], mid, supply_value, eff = record_flags(
-        config.failure, p_a, p_o, p_ref, lo, hi, s_a, s_o, c_total
-    )
-    steps[done, :, :4] = np.stack((eff, mid, net_inflow, supply_value), axis=-1)
-    return state, trend, prev_mid
+    np.copyto(last, state, where=live)
+    failed = fold_failed(config.failure, in_band, hard)[lengths - 1, np.arange(n_paths)]
+    return PathBatch(paths, steps, in_band, lengths, ~live, failed, last)
 
 
 def batch_path_summary(batch: PathBatch, config: ScenarioConfig, path_index: int) -> PathSummary:

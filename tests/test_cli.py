@@ -58,6 +58,68 @@ MALFORMED = {
 }
 
 
+def crash(**fields):
+    """A crypto-crash stress section with ``fields`` changed."""
+    return {"kind": "crypto_crash", "onset": 10, "magnitude": 0.5, "duration": 5, **fields}
+
+
+# Out-of-range edits of janus_baseline, each with the message of the guard
+# that rejects it.
+OUT_OF_RANGE = {
+    "stress_magnitude_zero": (
+        lambda d: d.update(stress=crash(magnitude=0.0)), "stress magnitude must lie in (0, 1]"
+    ),
+    "stress_magnitude_above_one": (
+        lambda d: d.update(stress=crash(magnitude=1.5)), "stress magnitude must lie in (0, 1]"
+    ),
+    "negative_stress_onset": (
+        lambda d: d.update(stress=crash(onset=-1)), "stress onset/duration must be non-negative"
+    ),
+    "negative_grace": (lambda d: d["failure"].update(grace=-1), "failure grace must be non-negative"),
+    "floor_zero": (lambda d: d["failure"].update(floor=0.0), "failure floor must lie in (0, 1)"),
+    "floor_one": (lambda d: d["failure"].update(floor=1.0), "failure floor must lie in (0, 1)"),
+    "turnover_one": (lambda d: d["market"].update(turnover=1.0), "turnover must lie in [0, 1)"),
+    "negative_micro_vol": (
+        lambda d: d["market"].update(micro_vol=-0.001), "microstructure volatility must be non-negative"
+    ),
+    "negative_treasury_split": (
+        lambda d: d["market"].update(treasury_split=-0.1), "treasury split must lie in [0, 1]"
+    ),
+    "treasury_split_above_one": (
+        lambda d: d["market"].update(treasury_split=1.5), "treasury split must lie in [0, 1]"
+    ),
+    "negative_skim_rate": (lambda d: d["market"].update(skim_rate=-0.1), "skim rate must lie in [0, 1]"),
+    "skim_rate_above_one": (lambda d: d["market"].update(skim_rate=1.5), "skim rate must lie in [0, 1]"),
+    "negative_gain": (
+        lambda d: d["controller"].update(rate_gain=-0.1), "controller gains must be non-negative"
+    ),
+    "fee_min_above_fee_max": (
+        lambda d: d["controller"].update(fee_min=0.06), "actuation bounds must be ordered min <= max"
+    ),
+    "negative_leak": (lambda d: d["controller"].update(leak=-0.1), "leak must lie in [0, 1]"),
+    "leak_above_one": (lambda d: d["controller"].update(leak=1.5), "leak must lie in [0, 1]"),
+    "negative_vol": (lambda d: d["assets"][0].update(vol=-0.03), "asset volatility must be non-negative"),
+    "negative_yield": (
+        lambda d: d["assets"][1].update(yield_rate=-0.0001), "asset yield must be non-negative"
+    ),
+    "correlation_2x3": (
+        lambda d: d.update(correlation=[[1.0, 0.05, 0.0], [0.05, 1.0, 0.0]]),
+        "correlation matrix must be square",
+    ),
+    "negative_noise_vol": (
+        lambda d: d["demand"].update(noise_vol=-1.0), "demand noise volatility must be non-negative"
+    ),
+    "no_governance_weights": (
+        lambda d: d["governance"].update(weights=[]), "governance distribution needs at least one weight"
+    ),
+    "p0_zero": (lambda d: d["ref_policy"].update(p0=0.0), "reference price p0 must be positive"),
+    "negative_p0": (lambda d: d["ref_policy"].update(p0=-1.0), "reference price p0 must be positive"),
+    "negative_growth_rate": (
+        lambda d: d["ref_policy"].update(growth_rate=-0.001), "reference growth rate must be non-negative"
+    ),
+}
+
+
 @pytest.fixture
 def scenario_file(tmp_path):
     path = tmp_path / "scenario.json"
@@ -578,6 +640,26 @@ class TestErrors:
         code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("name", list(OUT_OF_RANGE))
+    def test_out_of_range_value_exits_config(self, name, tmp_path, capsys):
+        edit, message = OUT_OF_RANGE[name]
+        data = config_to_dict(load_preset("janus_baseline"))
+        edit(data)
+        path = tmp_path / "range.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not out.exists()
+
+    def test_unreadable_grid_exits_config(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["frontier", "--preset", "janus_baseline", "--grid", str(tmp_path / "missing.json")]
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: cannot read grid file:")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "mc", "frontier", "equilibrium"])
     def test_overflowing_reference_price_exits_config(self, command, tmp_path, capsys):

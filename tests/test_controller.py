@@ -141,6 +141,15 @@ class TestFixedPoint:
         with pytest.raises(ControlError):
             find_fixed_point(lambda x: x, np.zeros(1), damping=0.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10])
+    def test_non_positive_tolerance_rejected(self, tol):
+        with pytest.raises(ControlError, match="^tolerance must be positive$"):
+            find_fixed_point(lambda x: x, np.zeros(1), tol=tol)
+
+    def test_two_dimensional_start_point_rejected(self):
+        with pytest.raises(ControlError, match="^the start point must be a 1-D vector$"):
+            find_fixed_point(lambda x: x, np.zeros((2, 2)))
+
     def test_rejects_a_map_that_changes_the_length(self):
         with pytest.raises(ControlError):
             find_fixed_point(lambda x: np.append(x, 0.0), np.zeros(2))
@@ -262,6 +271,20 @@ class TestJacobian:
         assert J[1, 1] == pytest.approx(math.cos(0.3), abs=1e-6)
         assert abs(J[0, 1]) < 1e-8 and abs(J[1, 0]) < 1e-8
 
+    @pytest.mark.parametrize("h", [0.0, -1e-6])
+    def test_non_positive_step_rejected(self, h):
+        with pytest.raises(ControlError, match="^finite-difference step must be positive$"):
+            jacobian_fd(lambda v: v, np.ones(2), h=h)
+
+    def test_non_finite_column_raises(self):
+        # the map has no finite value past v[1] = 1, so column 1 is the first
+        # with a non-finite difference
+        def F(v):
+            return np.array([v[0], math.inf if v[1] > 1.0 else v[1]])
+
+        with pytest.raises(SolverError, match="^non-finite Jacobian entries in column 1$"):
+            jacobian_fd(F, np.array([0.5, 1.0]))
+
 
 class TestSpectralRadius:
     def test_matches_eigvals_oracle(self):
@@ -285,6 +308,16 @@ class TestSpectralRadius:
     def test_nonsquare_rejected(self):
         with pytest.raises(ControlError):
             spectral_radius(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        J = np.eye(2)
+        J[0, 1] = bad
+        with pytest.raises(ControlError, match="^matrix must be finite$"):
+            spectral_radius(J)
+
+    def test_empty_matrix_is_zero(self):
+        assert spectral_radius(np.zeros((0, 0))) == 0.0
 
 
 class TestClassification:

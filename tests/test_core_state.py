@@ -71,6 +71,11 @@ class TestBandBounds:
         assert lo == pytest.approx(p_ref * (1 - eps), rel=1e-12)
         assert hi == pytest.approx(p_ref * (1 + eps), rel=1e-12)
 
+    @pytest.mark.parametrize("p_ref", [0.0, -1.0])
+    def test_non_positive_reference_rejected(self, p_ref):
+        with pytest.raises(StateError, match="^reference price must be positive$"):
+            band_bounds(p_ref, PegBand(0.02))
+
     def test_epsilon_bounds_enforced(self):
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(StateError):

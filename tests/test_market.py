@@ -192,6 +192,14 @@ class TestPortfolioVariance:
         with pytest.raises(MarketError):
             portfolio_variance([1.0], [-0.1], CorrelationMatrix.identity(1))
 
+    @pytest.mark.parametrize("weights,variances", [
+        ([1.0], [0.04, 0.04]),  # weights and variances differ
+        ([0.5, 0.5, 0.0], [0.04, 0.04, 0.04]),  # three assets, a 2x2 correlation
+    ])
+    def test_mismatched_shapes_rejected(self, weights, variances):
+        with pytest.raises(MarketError, match="^weights, variances and correlation size must agree$"):
+            portfolio_variance(weights, variances, CorrelationMatrix.identity(2))
+
     def test_diversification_reduces_variance(self):
         # equal split of uncorrelated assets beats concentration
         c = CorrelationMatrix.identity(2)

@@ -230,3 +230,8 @@ class TestReports:
         assert point.s == pytest.approx(0.9)
         assert point.s_ci == (pytest.approx(0.6), pytest.approx(0.98))
         assert point.s_ci[0] <= point.s <= point.s_ci[1]
+
+    def test_trilemma_point_of_no_paths_rejected(self):
+        empty = make_summary(n_paths=0, failures=0, in_band_fractions=(), failed_flags=())
+        with pytest.raises(MetricError, match="^ensemble must contain at least one path$"):
+            trilemma_point(GovernanceDistribution((1.0,)), empty)

@@ -87,6 +87,11 @@ class TestRedeem:
         with pytest.raises(ProtocolError, match="exceeds supply"):
             do_redeem(MintPolicy(1.0), 1000.1, 0.0)
 
+    @pytest.mark.parametrize("a_red,o_red", [(-1.0, 0.0), (0.0, -1.0)])
+    def test_negative_amount_rejected(self, a_red, o_red):
+        with pytest.raises(ProtocolError, match="^redemption amounts must be non-negative$"):
+            do_redeem(MintPolicy(1.0), a_red, o_red)
+
     def test_payout_capped_and_burn_scaled(self):
         # only 50 of collateral left; redeeming 200 of value burns 1/4 of it
         book, payout = do_redeem(MintPolicy(1.0), 200.0, 0.0, book=(1000.0, 1000.0, 50.0, 0.0))
@@ -239,6 +244,11 @@ class TestLiquidation:
 
     def test_ratio_infinite_without_supply(self):
         assert math.isinf(collateral_ratio(3000.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("p_ref", [0.0, -1.0])
+    def test_ratio_rejects_non_positive_reference(self, p_ref):
+        with pytest.raises(ProtocolError, match="^reference price must be positive$"):
+            collateral_ratio(3000.0, 1000.0, p_ref)
 
     def test_ratio_matches_book(self):
         s_a, s_o, cv, rv = BOOK

@@ -23,8 +23,8 @@ by the check.  The sides take the timing slots in the order P C C P and
 C P P C by turns (``run_rounds``), so neither side always runs first and
 last.  Each round prints its ratio (the change's summed best times over
 the parent's) and the per-preset ratios; the last line gives the median
-ratio and the rounds the change won.  Uses only the standard library and
-the package.
+ratio, the quartiles of the rounds' ratios and the rounds the change won.
+Uses only the standard library and the package.
 """
 
 from __future__ import annotations
@@ -138,7 +138,10 @@ def run_rounds(copies: list, n_rounds: int, time_round, detail) -> None:
     beside it, then in reverse, then reversed and swapped: by side, P C C P
     and C P P C by turns, so that over two rounds each side takes each slot
     once, and over four rounds each copy does.  Prints each round's ratio
-    and ``detail(parent, change)``, then the median."""
+    and ``detail(parent, change)``, then the median, with the quartiles of
+    the rounds' ratios beside it from two rounds on: where a copy sits in
+    memory offsets a process's ratios, so one median near 1.0 says little
+    without its spread."""
     ratios, wins = [], 0
     gc.disable()
     try:
@@ -156,7 +159,11 @@ def run_rounds(copies: list, n_rounds: int, time_round, detail) -> None:
             print(f"round {r + 1:2d} ({way}): ratio {ratio:.3f}  {detail(a, b)}")
     finally:
         gc.enable()
-    print(f"median ratio {statistics.median(ratios):.3f} over {len(ratios)} rounds; "
+    spread = ""
+    if len(ratios) > 1:
+        q1, _, q3 = statistics.quantiles(ratios, n=4)
+        spread = f" (quartiles {q1:.3f}-{q3:.3f})"
+    print(f"median ratio {statistics.median(ratios):.3f}{spread} over {len(ratios)} rounds; "
           f"change faster in {wins} of {len(ratios)}")
 
 
